@@ -8,7 +8,6 @@ continued fraction, a small identity DSL with a file manifest format,
 sign/congruence scanners, and an independent partition-counting oracle.
 """
 
-from ._backend import BACKEND_NAME
 from .catalog import f_mrs, linking_relations, named_series, np_dp_polynomials, parent_order
 from .dsl import IdentityRecord, evaluate, load_manifest, parse, unparse
 from .errors import (
@@ -43,8 +42,3 @@ from .series import ModSeries, Series, reduce_mod
 from .verify import ScanSpec, period_check, run_paper_suite, scan, verify_identity
 
 __version__ = "0.1.0"
-
-
-def kernel_backend():
-    """Name of the active kernel backend: 'cython' or 'python'."""
-    return BACKEND_NAME

@@ -1,28 +1,8 @@
-"""Kernel backend selection.
+"""The series kernels, at the names every caller looks them up by.
 
-At import time the compiled Cython kernels are preferred; the pure-Python
-twins are the fallback.  Set ``RRSERIES_KERNELS=py`` to force the pure
-backend or ``RRSERIES_KERNELS=c`` to insist on the compiled one (raising
-if it is not built).
+The kernels are the pure-Python schoolbook loops of ``_kernels_py``.
+Callers call ``_backend.mul_trunc`` (not the defining module) so a
+profiler can replace a kernel for every caller in one place.
 """
 
-import os
-
-from . import _kernels_py
-
-_forced = os.environ.get("RRSERIES_KERNELS", "").strip().lower()
-
-if _forced in ("py", "python"):
-    kernels = _kernels_py
-elif _forced in ("c", "cython"):
-    from . import _kernels as kernels  # noqa: F401  (ImportError is the point)
-else:
-    try:
-        from . import _kernels as kernels
-    except ImportError:
-        kernels = _kernels_py
-
-mul_trunc = kernels.mul_trunc
-invert_trunc = kernels.invert_trunc
-binomial_update = kernels.binomial_update
-BACKEND_NAME = kernels.BACKEND_NAME
+from ._kernels_py import binomial_update, invert_trunc, mul_trunc  # noqa: F401

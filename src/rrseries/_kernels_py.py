@@ -2,13 +2,10 @@
 
 These are the reference implementations of the three hot loops: truncated
 Cauchy multiplication, truncated inversion, and the in-place sparse
-binomial update used to accumulate Pochhammer products.  A Cython twin
-with identical signatures lives in ``_kernels.pyx``; ``_backend`` picks
-whichever is importable.  All coefficients are Python ints, so both
-backends are exact at any size.
+binomial update used to accumulate Pochhammer products.  Callers reach
+them through ``_backend``.  All coefficients are Python ints, so the
+kernels are exact at any size.
 """
-
-BACKEND_NAME = "python"
 
 
 def mul_trunc(a, b, n):

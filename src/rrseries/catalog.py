@@ -1,8 +1,11 @@
 """Named series around the Rogers-Ramanujan continued fraction.
 
-Everything is built from Pochhammer products (never from continued
-fraction convergents): G and H are the Rogers-Ramanujan products, R =
-H/G is the normalized continued fraction, and the derived families are
+Every tag is an expression of the identity DSL (``DEFINITIONS``), parsed
+once and evaluated by :func:`rrseries.dsl.evaluate`, so the catalog uses
+the evaluator's one cache and aliases share one entry.  Everything is
+built from Pochhammer products (never from continued fraction
+convergents): G and H are the Rogers-Ramanujan products, R = H/G is the
+normalized continued fraction, and the derived families are
 
     A = 1/R^5(q),   B = R^5(q),   C = R^5(q)/R(q^5),   D = R(q^5)/R^5(q),
     c = 1/R,        d = R,        b25 = f_25/f_1,      Fcolored = f_25 R(q^5)/f_1.
@@ -12,23 +15,41 @@ four-Pochhammer quotient F_{m,r,s} live here too, plus the seven
 coefficient-level linking relations tying A, B, C, D together.
 """
 
-import threading
 import time
 
+from . import dsl
 from .errors import SpecOutOfRange
-from .qfunctions import euler_f, pochhammer_inf
+# Unused here, but perfbench/tracing.py wraps catalog.pochhammer_inf and catalog.euler_f.
+from .qfunctions import euler_f, pochhammer_inf  # noqa: F401
 from .report import FAIL, PASS, VerificationReport
-from .series import Series
 
-TAGS = ("G", "H", "R", "Rinv", "A", "B", "C", "D", "c", "d",
-        "Npoly", "Dpoly", "b25", "Fcolored")
+# Written so that evaluation does the fewest ring operations: D inverts C,
+# and Npoly/Dpoly are Horner forms in x = q*R(q^5) of
+# 1 - 2x + 4x^2 - 3x^3 + x^4 and 1 + 3x + 4x^2 + 2x^3 + x^4.
+DEFINITIONS = {
+    "G": "G(q)",
+    "H": "H(q)",
+    "R": "R(q)",
+    "Rinv": "R(q)^-1",
+    "A": "R(q)^-5",
+    "B": "R(q)^5",
+    "C": "R(q)^5/R(q^5)",
+    "D": "(R(q)^5/R(q^5))^-1",
+    "c": "R(q)^-1",
+    "d": "R(q)",
+    "Npoly": "1 + q*R(q^5)*(-2 + q*R(q^5)*(4 + q*R(q^5)*(-3 + q*R(q^5))))",
+    "Dpoly": "1 + q*R(q^5)*(3 + q*R(q^5)*(4 + q*R(q^5)*(2 + q*R(q^5))))",
+    "b25": "f25/f1",
+    "Fcolored": "f25*R(q^5)/f1",
+}
+
+TAGS = tuple(DEFINITIONS)
+
+_NODES = {tag: dsl.parse(text) for tag, text in DEFINITIONS.items()}
 
 # No sign is asserted for D(5n+1); it is conjecturally positive and is
 # handled by the report-only scanner, not the theorem scans.
 CONJECTURAL_SIGNS = {("D", 5, 1): "+"}
-
-_cache = {}
-_cache_lock = threading.Lock()
 
 
 def parent_order(order, t, j=None):
@@ -42,81 +63,16 @@ def parent_order(order, t, j=None):
     return t * (order - 1) + j + 1
 
 
-def _build(tag, order):
-    if tag == "G":
-        return (pochhammer_inf(1, 5, order) * pochhammer_inf(4, 5, order)).invert()
-    if tag == "H":
-        return (pochhammer_inf(2, 5, order) * pochhammer_inf(3, 5, order)).invert()
-    if tag in ("R", "d"):
-        num = pochhammer_inf(1, 5, order) * pochhammer_inf(4, 5, order)
-        den = pochhammer_inf(2, 5, order) * pochhammer_inf(3, 5, order)
-        return num * den.invert()
-    if tag in ("Rinv", "c"):
-        return named_series("R", order).invert()
-    if tag == "A":
-        return named_series("R", order) ** -5
-    if tag == "B":
-        return named_series("R", order) ** 5
-    if tag == "C":
-        return named_series("B", order) * _r_dilated(5, order).invert()
-    if tag == "D":
-        return named_series("C", order).invert()
-    if tag == "Npoly":
-        return _quartic(order, (1, -2, 4, -3, 1))
-    if tag == "Dpoly":
-        return _quartic(order, (1, 3, 4, 2, 1))
-    if tag == "b25":
-        return euler_f(25, order) * euler_f(1, order).invert()
-    if tag == "Fcolored":
-        return euler_f(25, order) * _r_dilated(5, order) * euler_f(1, order).invert()
-    raise SpecOutOfRange(f"unknown series tag {tag!r}")
-
-
-def _r_dilated(t, order):
-    """R(q^t) truncated to ``order``."""
-    base = named_series("R", (order + t - 1) // t)
-    dilated = base.dilate(t)
-    if dilated.order >= order:
-        return dilated.truncate(order)
-    # Exponents beyond the dilated order that are not multiples of t are
-    # exactly zero, and multiples of t up to base.order*t are covered, so
-    # zero padding to base.order*t keeps only certified coefficients.
-    padded = list(dilated.coeffs) + [0] * (base.order * t - dilated.order)
-    return Series(padded[:order])
-
-
-def _quartic(order, coefficients):
-    """sum coefficients[k] * q^k * R(q^5)^k for k = 0..4, truncated."""
-    r5 = _r_dilated(5, order)
-    acc = Series.constant(coefficients[0], order)
-    power = Series.one(order)
-    for k, ck in enumerate(coefficients[1:], start=1):
-        power = power * r5
-        acc = acc + ck * power.shift(k).truncate(order)
-    return acc
-
-
 def named_series(tag, order):
-    """Catalog lookup with a grow-only memo (thread-safe, truncation served)."""
-    if tag not in TAGS:
+    """Catalog lookup: the series ``tag`` truncated to ``order``."""
+    if tag not in _NODES:
         raise SpecOutOfRange(f"unknown series tag {tag!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    with _cache_lock:
-        cached = _cache.get(tag)
-    if cached is not None and cached.order >= order:
-        return cached.truncate(order)
-    value = _build(tag, order)
-    with _cache_lock:
-        existing = _cache.get(tag)
-        if existing is None or existing.order < value.order:
-            _cache[tag] = value
-    return value
+    return dsl.evaluate(_NODES[tag], order)
 
 
 def clear_cache():
-    with _cache_lock:
-        _cache.clear()
+    """Empty the evaluator's cache, which holds the catalog's series too."""
+    dsl.clear_cache()
 
 
 def np_dp_polynomials(order):
@@ -128,9 +84,9 @@ def f_mrs(m, r, s, order):
     """F_{m,r,s} = (q^r, q^(m-r); q^m)_inf / (q^s, q^(m-s); q^m)_inf."""
     if not (1 <= r < m and 1 <= s < m):
         raise SpecOutOfRange(f"need 1 <= r, s < m; got m={m}, r={r}, s={s}")
-    num = pochhammer_inf(r, m, order) * pochhammer_inf(m - r, m, order)
-    den = pochhammer_inf(s, m, order) * pochhammer_inf(m - s, m, order)
-    return num * den.invert()
+    num = dsl.Mul(dsl.Poch(r, m), dsl.Poch(m - r, m))
+    den = dsl.Mul(dsl.Poch(s, m), dsl.Poch(m - s, m))
+    return dsl.evaluate(dsl.Div(num, den), order)
 
 
 # (name, lhs tag, lhs multiplier, lhs residue, rhs tag, rhs multiplier, rhs residue)

@@ -26,7 +26,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from . import catalog, qfunctions
+from . import qfunctions
 from .errors import EvaluationError, ManifestError, NonUnitConstantTerm, ParseError, UnknownSymbol
 from .qfunctions import ThetaSpec
 from .series import Series
@@ -135,6 +135,11 @@ class Dissect:
 
 FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
 
+# Deepest nesting of parentheses, function arguments and unary minus the
+# parser accepts; each level costs up to six Python frames, so deeper input
+# would end in RecursionError instead of a ParseError.
+MAX_DEPTH = 100
+
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
@@ -187,6 +192,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     @property
     def current(self):
@@ -227,10 +233,16 @@ class _Parser:
         return node
 
     def parse_unary(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested more than {MAX_DEPTH} levels deep")
         if self.current.kind == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
@@ -428,6 +440,17 @@ def _unparse(node):
 # ---------------------------------------------------------------------------
 # Evaluator
 
+# G, H and R as Pochhammer quotients: G = 1/(q,q^4;q^5)_inf,
+# H = 1/(q^2,q^3;q^5)_inf and R = H/G.
+_FUN_DEFINITIONS = {
+    "G": parse("(poch(1,5)*poch(4,5))^-1"),
+    "H": parse("(poch(2,5)*poch(3,5))^-1"),
+    "R": parse("poch(1,5)*poch(4,5)/(poch(2,5)*poch(3,5))"),
+}
+
+# The package's one memo cache: node -> the longest series computed for it.
+# A node's value at a lower order is a prefix of its value at a higher one,
+# so shorter requests are served by truncation.
 _eval_cache = {}
 _eval_lock = threading.Lock()
 
@@ -443,8 +466,8 @@ def evaluate(node, order):
     Requested orders propagate down the tree (a dissection child is
     evaluated at t times the requested order, a dilation child at the
     quotient), so the result's order is its true certified order.
-    Results are memoized on (node, order); series are immutable so the
-    cache is safe to share.
+    Every node's longest result is memoized and serves any lower order
+    by truncation; series are immutable so the cache is safe to share.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -452,18 +475,19 @@ def evaluate(node, order):
 
 
 def _evaluate(node, order, path):
-    key = (node, order)
     with _eval_lock:
-        hit = _eval_cache.get(key)
-    if hit is not None:
-        return hit
+        hit = _eval_cache.get(node)
+    if hit is not None and hit.order >= order:
+        return hit.truncate(order)
     value = _compute(node, order, path)
     if value.order != order:
         raise AssertionError(
             f"internal: expected order {order}, got {value.order} for {unparse(node)}"
         )
     with _eval_lock:
-        _eval_cache[key] = value
+        hit = _eval_cache.get(node)
+        if hit is None or hit.order < order:
+            _eval_cache[node] = value
     return value
 
 
@@ -476,7 +500,7 @@ def _dilate_to(series, t, order):
     return Series(padded[:order])
 
 
-def _fun_series(name, t, neg, order):
+def _fun_series(name, t, neg, order, path):
     base_order = (order + t - 1) // t
     if name == "phi":
         base = qfunctions.phi(base_order)
@@ -485,7 +509,7 @@ def _fun_series(name, t, neg, order):
     elif name == "chi":
         base = qfunctions.chi(base_order)
     else:
-        base = catalog.named_series(name, base_order)
+        base = _evaluate(_FUN_DEFINITIONS[name], base_order, path)
     if neg:
         base = base.negate_q()
     if t == 1:
@@ -508,7 +532,7 @@ def _compute(node, order, path):
         spec = ThetaSpec(node.sign_a, node.r, node.sign_b, node.s)
         return qfunctions.theta_general(spec, order)
     if isinstance(node, Fun):
-        return _fun_series(node.name, node.t, node.neg, order)
+        return _fun_series(node.name, node.t, node.neg, order, path)
     if isinstance(node, Add):
         return _evaluate(node.left, order, path + ("left",)) + _evaluate(
             node.right, order, path + ("right",)

@@ -17,11 +17,16 @@ from .series import Series
 
 
 def _binomial_product(factors, order):
-    """Product of (1 + coef*q^e) over ``factors`` (pairs (e, coef)), truncated."""
+    """Product of (1 + coef*q^e) over ``factors`` (pairs (e, coef)), truncated.
+
+    ``factors`` must come in increasing exponent order: the product stops
+    at the first exponent >= ``order``, so a long finite product costs no
+    more than the truncation needs.
+    """
     c = [1] + [0] * (order - 1)
     for e, coef in factors:
         if e >= order:
-            continue
+            break
         _backend.binomial_update(c, e, coef, order)
     return Series(c)
 
@@ -64,9 +69,6 @@ def signed_pochhammer_inf(sign, a, ratio_sign, m, order):
     return _binomial_product(factors(), order)
 
 
-_PENTAGONAL_CACHE = {}
-
-
 def euler_f(k, order):
     """f_k = (q^k; q^k)_inf via the pentagonal number expansion.
 
@@ -75,10 +77,6 @@ def euler_f(k, order):
     """
     if k < 1:
         raise ValueError("euler_f needs k >= 1")
-    key = (k, order)
-    cached = _PENTAGONAL_CACHE.get(key)
-    if cached is not None:
-        return cached
     c = [0] * order
     j = 0
     while True:
@@ -92,9 +90,7 @@ def euler_f(k, order):
         if j and e2 < order:
             c[e2] += sign
         j += 1
-    result = Series(c)
-    _PENTAGONAL_CACHE[key] = result
-    return result
+    return Series(c)
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,14 @@ class Series:
             raise TypeError("series exponent must be an int")
         if k < 0:
             return self.invert() ** (-k)
-        result = Series.one(self.order)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Series.one(self.order) if result is None else result
 
     def __truediv__(self, other):
         if isinstance(other, Series):

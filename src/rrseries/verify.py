@@ -145,6 +145,8 @@ def period_check(series, period, prefix, name="period check", report_only=False)
     from which the signs are consistent, without claiming it final
     beyond the certified order.
     """
+    if period < 1:
+        raise ValueError("period must be >= 1")
     if prefix >= series.order:
         raise ValueError("prefix must be below the series order")
     start = time.perf_counter()

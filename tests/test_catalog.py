@@ -1,10 +1,11 @@
 """Catalog of named series and the relations tying them together."""
 
+import sys
 import threading
 
 import pytest
 
-from rrseries import catalog, partitions
+from rrseries import _backend, catalog, dsl, partitions
 from rrseries.catalog import f_mrs, linking_relations, named_series, np_dp_polynomials, parent_order
 from rrseries.errors import SpecOutOfRange
 from rrseries.qfunctions import euler_f
@@ -18,6 +19,20 @@ def dict_mul(a, b, order):
             if i + j < order:
                 out[i + j] = out.get(i + j, 0) + ai * bj
     return {e: c for e, c in out.items() if c}
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the name of every kernel call from now to the end of the test."""
+    calls = []
+    for name in ("mul_trunc", "invert_trunc", "binomial_update"):
+        kernel = getattr(_backend, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_backend, name, counted)
+    return calls
 
 
 def a_series_oracle(order):
@@ -84,25 +99,45 @@ class TestNamedSeries:
         assert named_series("Rinv", 12) == named_series("c", 12)
         assert named_series("d", 12) == named_series("R", 12)
 
-    def test_cache_serves_truncations(self):
-        catalog.clear_cache()
-        long = named_series("G", 60)
-        short = named_series("G", 20)
+    def test_cache_serves_truncations(self, monkeypatch):
+        node = dsl.parse("G(q^2)*H(q^3)")  # evaluated by no other test
+        long = dsl.evaluate(node, 60)
+        calls = count_kernel_calls(monkeypatch)
+        short = dsl.evaluate(node, 20)
         assert short == long.truncate(20)
+        assert calls == []
 
-    def test_concurrent_reads(self):
-        catalog.clear_cache()
-        results = []
+    def test_aliases_share_one_cache_entry(self, monkeypatch):
+        named_series("R", 77)
+        calls = count_kernel_calls(monkeypatch)
+        assert named_series("d", 77) == named_series("R", 77)
+        assert calls == []
 
-        def worker():
-            results.append(named_series("H", 50))
+    def test_concurrent_reads(self, monkeypatch):
+        node = dsl.parse("H(q^2)/G(q^3)")  # evaluated by no other test
+        orders = [90 - i for i in range(12)]  # longest first, similar costs
+        results = {}
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
+        def worker(order):
+            results[order] = dsl.evaluate(node, order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        longest = results[max(orders)]
+        assert all(results[n] == longest.truncate(n) for n in orders)
+        # a lost update would leave a shorter series cached
+        calls = count_kernel_calls(monkeypatch)
+        assert dsl.evaluate(node, max(orders)) == longest
+        assert calls == []
 
 
 class TestRelations:

@@ -51,6 +51,14 @@ class TestExpand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        # 99 parentheses put q at the deepest allowed level, 100
+        code, _ = run_cli("expand", "(" * 99 + "q" + ")" * 99, "-N", "4")
+        assert code == 0
+        code, _ = run_cli("expand", "(" * 200 + "q" + ")" * 200, "-N", "4")
+        assert code == 2
+        assert "(line 1, column 101)" in capsys.readouterr().err
+
     def test_eval_error_exits_2(self, capsys):
         code, _ = run_cli("expand", "1/q", "-N", "4")
         assert code == 2
@@ -129,6 +137,13 @@ class TestScans:
                             "--max-n", "300", "--prefix", "30")
         assert code == 0
         assert "minimal_prefix=24" in out
+
+    def test_period_below_one_exits_2(self, capsys):
+        code, out = run_cli("period-check", "--series", "A", "--period", "0",
+                            "--max-n", "50")
+        assert code == 2
+        assert out == ""
+        assert "period must be >= 1" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         code, _ = run_cli("scan", "--series", "A", "--period", "5",

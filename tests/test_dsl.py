@@ -160,9 +160,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("text", EXPRESSIONS)
     def test_order_monotone(self, text):
+        # lower order first: the cache serves a lower order from a higher one
         tree = parse(text)
-        big = evaluate(tree, 50)
         small = evaluate(tree, 20)
+        big = evaluate(tree, 50)
         assert big.truncate(20) == small
 
     def test_division_by_non_unit_reports_path(self):

@@ -48,6 +48,10 @@ class TestPochhammer:
         # remaining factors of the infinite product start at a + n*m >= N
         assert pochhammer_fin(2, 3, 4, 14) == pochhammer_inf(2, 3, 14)
 
+    def test_fin_stops_at_truncation(self):
+        # all but nine of the 10^12 factors lie beyond the truncation
+        assert pochhammer_fin(1, 1, 10**12, 10) == pochhammer_inf(1, 1, 10)
+
     def test_euler_f_matches_generic_pochhammer(self):
         for k in (1, 2, 5, 25):
             assert euler_f(k, 200) == pochhammer_inf(k, k, 200)
