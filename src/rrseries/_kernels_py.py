@@ -1,15 +1,41 @@
 """Pure-Python series kernels.
 
-These are the reference implementations of the three hot loops: truncated
-Cauchy multiplication, truncated inversion, and the in-place sparse
-binomial update used to accumulate Pochhammer products.  Callers reach
-them through ``_backend``.  All coefficients are Python ints, so the
-kernels are exact at any size.
+The three hot loops: truncated multiplication, truncated inversion, and
+the in-place sparse binomial update used by finite Pochhammer products.
+Callers reach them through ``_backend``.  All coefficients are Python
+ints, so the kernels are exact at any size.
+
+- ``mul_trunc`` uses Kronecker substitution: both operands are packed
+  into one integer each, with one fixed-width slot per coefficient, and
+  CPython's Karatsuba multiplication forms the whole product at once.
+  Below ``MUL_CUTOFF`` terms in the shorter operand the schoolbook loop
+  is faster, because packing costs a few Python operations per term.
+- ``invert_trunc`` uses Newton iteration, doubling the precision each
+  step, on top of the recurrence for orders up to ``INV_CUTOFF``.
+
+Both give the same integers as the schoolbook loops ``_mul_schoolbook``
+and ``_invert_recurrence``, which stay as the small-size paths.  The
+cutoffs are crossover points measured on 64-bit CPython 3.11 with
+coefficients of 1 to 200 bits.
 """
+
+# Shorter operand length from which Kronecker substitution beats the
+# schoolbook loop.
+MUL_CUTOFF = 32
+
+# Order up to which the recurrence beats Newton iteration.
+INV_CUTOFF = 64
 
 
 def mul_trunc(a, b, n):
     """First ``n`` coefficients of the Cauchy product of lists ``a`` and ``b``."""
+    la, lb = min(len(a), n), min(len(b), n)
+    if min(la, lb) < MUL_CUTOFF:
+        return _mul_schoolbook(a, b, n)
+    return _mul_kronecker(a[:la], b[:lb], n)
+
+
+def _mul_schoolbook(a, b, n):
     out = [0] * n
     for i in range(min(len(a), n)):
         ai = a[i]
@@ -23,12 +49,73 @@ def mul_trunc(a, b, n):
     return out
 
 
+def _bits(coeffs):
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _pack(coeffs, width, half):
+    """sum coeffs[i] * 2^(8*width*i); each |coeff| < half = 2^(8*width - 1).
+
+    Each slot holds coeff + half, which is nonnegative, and the sum of the
+    halves is subtracted again.
+    """
+    # each bytes object is dropped as soon as its integer is built
+    packed = int.from_bytes(
+        b"".join([(c + half).to_bytes(width, "little") for c in coeffs]), "little")
+    return packed - int.from_bytes((bytes(width - 1) + b"\x80") * len(coeffs), "little")
+
+
+def _mul_kronecker(a, b, n):
+    """Kronecker substitution; ``a`` and ``b`` are nonempty and at most ``n`` long."""
+    abits, bbits = _bits(a), _bits(b)
+    if not abits or not bbits:
+        return [0] * n
+    la, lb = len(a), len(b)
+    # each product coefficient is a sum of min(la, lb) terms below
+    # 2^(abits + bbits), so it fits a slot with one bit to spare for its sign
+    width = (abits + bbits + min(la, lb).bit_length() + 1 + 7) // 8
+    half = 1 << (8 * width - 1)
+    packed = _pack(a, width, half)
+    # one packed operand for a square lets CPython take its squaring path
+    product = packed * (packed if a == b else _pack(b, width, half))
+    del packed
+    slots = la + lb - 1
+    # the product's two's complement bytes, read slot by slot with a
+    # borrow, give back the balanced coefficients
+    raw = product.to_bytes(width * slots + 1, "little", signed=True)
+    del product
+    full = half << 1
+    out = []
+    borrow = False
+    for i in range(0, width * min(n, slots), width):
+        c = int.from_bytes(raw[i:i + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    if len(out) < n:
+        out += [0] * (n - len(out))
+    return out
+
+
 def invert_trunc(a, n):
     """First ``n`` coefficients of 1/a.
 
-    Requires ``a[0]`` in {+1, -1}; the caller checks.  Uses the standard
-    recurrence b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0]).
+    Requires ``a[0]`` in {+1, -1}; the caller checks.  If b is 1/a to k
+    terms, then a*b = 1 + q^k*h and b - q^k*b*h is 1/a to 2k terms.
     """
+    if n <= INV_CUTOFF:
+        return _invert_recurrence(a, n)
+    k = (n + 1) // 2
+    b = invert_trunc(a, k)
+    # these products call this module's mul_trunc, not _backend's, so a
+    # profiler counting _backend.mul_trunc sees series products only
+    h = mul_trunc(a, b, n)[k:]
+    correction = mul_trunc(b, h, n - k)
+    b += [-c for c in correction]
+    return b
+
+
+def _invert_recurrence(a, n):
+    """b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0])."""
     a0 = a[0]
     out = [0] * n
     out[0] = a0

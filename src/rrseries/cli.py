@@ -155,13 +155,14 @@ def cmd_scan(args, out, divisor=None):
 
 
 def cmd_period_check(args, out):
+    prefix = args.prefix if args.prefix is not None else args.max_n // 2
+    verify.check_period_args(args.period, prefix, args.max_n)
     if args.series is not None:
         series = catalog.named_series(args.series, args.max_n)
         label = args.series
     else:
         series = dsl.evaluate(dsl.parse(args.expr), args.max_n)
         label = args.expr
-    prefix = args.prefix if args.prefix is not None else args.max_n // 2
     report = verify.period_check(
         series, args.period, prefix,
         name=f"sign periodicity of {label}, period {args.period}",

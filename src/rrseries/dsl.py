@@ -140,6 +140,11 @@ FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
 # would end in RecursionError instead of a ParseError.
 MAX_DEPTH = 100
 
+# Deepest tree the parser builds.  Evaluation, unparsing, hashing and
+# comparison recurse once per tree level, and a chain such as q+q+...+q
+# adds one level per operator without any nesting in the text.
+MAX_TREE_DEPTH = 200
+
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
@@ -193,6 +198,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        # id(node) -> (node, levels of its tree) for every inner node built
+        # so far; a leaf has one level.  Holding the node keeps its id unique.
+        # Every node has a token of its own, so input of at most
+        # MAX_TREE_DEPTH tokens cannot build a deeper tree and skips the count.
+        self.levels = {} if len(self.tokens) > MAX_TREE_DEPTH else None
 
     @property
     def current(self):
@@ -214,22 +224,35 @@ class _Parser:
         tok = self.current
         raise ParseError(message, tok.line, tok.column)
 
+    def build(self, tok, node, *children):
+        """Return ``node``, built from ``children``; refuse it past MAX_TREE_DEPTH levels."""
+        levels = self.levels
+        if levels is None:
+            return node
+        height = 1 + max([levels[id(c)][1] if id(c) in levels else 1 for c in children])
+        if height > MAX_TREE_DEPTH:
+            raise ParseError(
+                f"expression tree deeper than {MAX_TREE_DEPTH} levels", tok.line, tok.column
+            )
+        levels[id(node)] = (node, height)
+        return node
+
     # -- grammar ----------------------------------------------------------
 
     def parse_expr(self):
         node = self.parse_term()
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
+            tok = self.advance()
             right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            node = self.build(tok, (Add if tok.kind == "+" else Sub)(node, right), node, right)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.current.kind in ("*", "/"):
-            op = self.advance().kind
+            tok = self.advance()
             right = self.parse_unary()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+            node = self.build(tok, (Mul if tok.kind == "*" else Div)(node, right), node, right)
         return node
 
     def parse_unary(self):
@@ -237,8 +260,9 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             self.fail(f"expression nested more than {MAX_DEPTH} levels deep")
         if self.current.kind == "-":
-            self.advance()
-            node = Neg(self.parse_unary())
+            tok = self.advance()
+            child = self.parse_unary()
+            node = self.build(tok, Neg(child), child)
         else:
             node = self.parse_power()
         self.depth -= 1
@@ -247,14 +271,13 @@ class _Parser:
     def parse_power(self):
         base = self.parse_atom()
         if self.current.kind == "^":
-            self.advance()
+            caret = self.advance()
             negative = False
             if self.current.kind == "-":
                 self.advance()
                 negative = True
-            tok = self.expect("int")
-            k = int(tok.text)
-            return Pow(base, -k if negative else k)
+            k = int(self.expect("int").text)
+            return self.build(caret, Pow(base, -k if negative else k), base)
         return base
 
     def parse_atom(self):
@@ -301,7 +324,7 @@ class _Parser:
             self.expect(",")
             t = self.signed_int()
             self.expect(")")
-            return Dilate(child, t)
+            return self.build(tok, Dilate(child, t), child)
         if name == "dissect":
             self.expect("(")
             child = self.parse_expr()
@@ -310,12 +333,12 @@ class _Parser:
             self.expect(",")
             j = self.signed_int()
             self.expect(")")
-            return Dissect(child, t, j)
+            return self.build(tok, Dissect(child, t, j), child)
         if name == "negq":
             self.expect("(")
             child = self.parse_expr()
             self.expect(")")
-            return NegQ(child)
+            return self.build(tok, NegQ(child), child)
         raise UnknownSymbol(f"unknown symbol {name!r}", tok.line, tok.column)
 
     def signed_int(self):

@@ -4,11 +4,18 @@ Pochhammer products (q^a; q^m)_inf and their finite versions, Euler
 products f_k = (q^k; q^k)_inf, eta quotients, and Ramanujan's theta
 function f(a, b) with its named specializations phi, psi, chi.
 
+Infinite Pochhammer products are summed by Euler's identity
+(x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k, which needs about
+sqrt(2N/m) terms for (q^a; q^m)_inf to order N; finite products multiply
+in one binomial per factor and serve as the oracle for the sum.
+
 Where the literature supplies two routes to the same object (a bilateral
 sum and a triple-product form, or a pentagonal-number expansion and a
 raw product) both are implemented so they can cross-check each other.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from . import _backend
@@ -31,11 +38,46 @@ def _binomial_product(factors, order):
     return Series(c)
 
 
+def _euler_sum(sign, a, ratio_sign, m, order):
+    """(x; p)_inf with x = sign*q^a and p = ratio_sign*q^m, truncated.
+
+    Euler's identity (x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k.
+    Term k is term k-1 times -p^(k-1)*x, divided by (1 - p^k); it starts
+    at exponent a*k + m*k(k-1)/2, so about sqrt(2*order/m) terms reach
+    below ``order`` and the cost is O(order^1.5 / sqrt(m)) instead of the
+    O(order^2 / m) of multiplying in one binomial per factor.
+    """
+    term = [1] + [0] * (order - 1)  # term k's coefficients from its start exponent on
+    c = list(term)
+    start = 0
+    k = 1
+    while True:
+        start += a + m * (k - 1)
+        if start >= order:
+            break
+        step = -sign * ratio_sign ** (k - 1)
+        term = [step * t for t in term[: order - start]]
+        _divide_binomial(term, ratio_sign**k, m * k)
+        c[start:] = map(operator.add, c[start:], term)
+        k += 1
+    return Series(c)
+
+
+def _divide_binomial(c, sign, e):
+    """In place: divide list ``c`` by (1 - sign*q^e), truncated to its length."""
+    if sign < 0:
+        # 1/(1 + q^e) = (1 - q^e) / (1 - q^(2e))
+        c[e:] = [x - y for x, y in zip(c[e:], c)]
+        e *= 2
+    for r in range(min(e, len(c))):
+        c[r::e] = itertools.accumulate(c[r::e])
+
+
 def pochhammer_inf(a, m, order):
     """(q^a; q^m)_inf = prod_{k>=0} (1 - q^(a + k*m)), truncated to ``order``."""
     if a < 1 or m < 1:
         raise ValueError("pochhammer_inf needs a >= 1 and m >= 1")
-    return _binomial_product(((e, -1) for e in range(a, order, m)), order)
+    return _euler_sum(1, a, 1, m, order)
 
 
 def pochhammer_fin(a, m, n, order):
@@ -59,14 +101,7 @@ def signed_pochhammer_inf(sign, a, ratio_sign, m, order):
         raise ValueError("ratio exponent m must be >= 1")
     if a < 0:
         raise ValueError("exponent a must be >= 0")
-
-    def factors():
-        s = sign
-        for e in range(a, order, m):
-            yield e, -s
-            s *= ratio_sign
-
-    return _binomial_product(factors(), order)
+    return _euler_sum(sign, a, ratio_sign, m, order)
 
 
 def euler_f(k, order):

@@ -256,15 +256,20 @@ class ModSeries:
         return ModSeries(raw, self.modulus)
 
     def __pow__(self, k):
+        """Integer power by repeated squaring, as for :class:`Series`."""
+        if not isinstance(k, int):
+            raise TypeError("series exponent must be an int")
         if k < 0:
             raise ValueError("negative powers are not defined for ModSeries")
-        result = ModSeries([1] + [0] * (self.order - 1), self.modulus)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
+        if result is None:
+            return ModSeries([1] + [0] * (self.order - 1), self.modulus)
         return result
 
     def dissect(self, t, j):

@@ -138,6 +138,17 @@ def scan(spec, order=None, report_only=False):
     )
 
 
+def check_period_args(period, prefix, order):
+    """Raise ValueError unless ``period >= 1`` and ``0 <= prefix < order``.
+
+    Cheap, so a caller can run it before building an order-``order`` series.
+    """
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    if not 0 <= prefix < order:
+        raise ValueError(f"prefix must be in [0, {order}), the series order")
+
+
 def period_check(series, period, prefix, name="period check", report_only=False):
     """Check that sign(series[n]) depends only on n mod ``period`` for n >= ``prefix``.
 
@@ -145,10 +156,7 @@ def period_check(series, period, prefix, name="period check", report_only=False)
     from which the signs are consistent, without claiming it final
     beyond the certified order.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if prefix >= series.order:
-        raise ValueError("prefix must be below the series order")
+    check_period_args(period, prefix, series.order)
     start = time.perf_counter()
 
     def sign_class(v):

@@ -5,7 +5,9 @@ import json
 import subprocess
 import sys
 
-from rrseries import cli
+import pytest
+
+from rrseries import _backend, cli
 
 
 def run_cli(*argv):
@@ -58,6 +60,18 @@ class TestExpand:
         code, _ = run_cli("expand", "(" * 200 + "q" + ")" * 200, "-N", "4")
         assert code == 2
         assert "(line 1, column 101)" in capsys.readouterr().err
+
+    def test_deep_tree_is_a_parse_error(self, capsys):
+        chain = "+".join(["q"] * 500)
+        code, out = run_cli("expand", chain, "-N", "4")
+        assert (code, out) == (2, "")
+        assert "expression tree deeper than" in capsys.readouterr().err
+        nested = "q"
+        for _ in range(99):
+            nested = f"({nested} + q+q+q+q+q+q+q)"
+        code, out = run_cli("expand", nested, "-N", "4")
+        assert (code, out) == (2, "")
+        assert "(line 1, column" in capsys.readouterr().err
 
     def test_eval_error_exits_2(self, capsys):
         code, _ = run_cli("expand", "1/q", "-N", "4")
@@ -144,6 +158,24 @@ class TestScans:
         assert code == 2
         assert out == ""
         assert "period must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--period", "0"), "period must be >= 1"),
+        (("--period", "5", "--prefix", "-3"), "prefix must be in [0, 300)"),
+        (("--period", "5", "--prefix", "300"), "prefix must be in [0, 300)"),
+    ])
+    def test_bad_period_arguments_build_nothing(self, monkeypatch, capsys, flags, message):
+        calls = []
+        for name in ("mul_trunc", "invert_trunc", "binomial_update"):
+            kernel = getattr(_backend, name)
+            monkeypatch.setattr(_backend, name,
+                                lambda *args, k=kernel: calls.append(1) or k(*args))
+        # an expression no other test evaluates, so nothing is cached
+        code, out = run_cli("period-check", "--expr", "poch(3,11)*poch(6,13)/poch(2,9)",
+                            "--max-n", "300", *flags)
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_usage_error_exits_2(self):
         code, _ = run_cli("scan", "--series", "A", "--period", "5",

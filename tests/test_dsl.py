@@ -88,6 +88,36 @@ class TestParse:
     def test_whitespace_insensitive(self):
         assert parse(" 1+ q  * f2 ") == parse("1+q*f2")
 
+    def test_long_chain_is_a_parse_error(self):
+        # a flat chain adds one tree level per operator and no nesting
+        assert evaluate(parse("+".join(["q"] * dsl.MAX_TREE_DEPTH)), 3)[1] == dsl.MAX_TREE_DEPTH
+        with pytest.raises(ParseError) as info:
+            parse("+".join(["q"] * (dsl.MAX_TREE_DEPTH + 1)))
+        # the operator that would add level MAX_TREE_DEPTH + 1
+        assert (info.value.line, info.value.column) == (1, 2 * dsl.MAX_TREE_DEPTH)
+
+    def test_deep_tree_within_nesting_bound_is_a_parse_error(self):
+        # 99 levels of parentheses, each adding seven levels to the tree
+        text = "q"
+        for _ in range(99):
+            text = f"({text} + q+q+q+q+q+q+q)"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == 1
+
+    def test_tree_depth_counts_every_operator(self):
+        for op in ("+", "-", "*", "/"):
+            parse(op.join(["q"] * dsl.MAX_TREE_DEPTH))
+            with pytest.raises(ParseError):
+                parse(op.join(["q"] * (dsl.MAX_TREE_DEPTH + 1)))
+        # dilate/negq/dissect/^ each add one level to their argument's tree
+        chain = "+".join(["q"] * (dsl.MAX_TREE_DEPTH - 1))
+        for wrapped in (f"dilate({chain},2)", f"negq({chain})", f"dissect({chain},2,1)",
+                        f"({chain})^2", f"-({chain})"):
+            parse(wrapped)
+            with pytest.raises(ParseError):
+                parse(f"negq({wrapped})")
+
 
 EXPRESSIONS = [
     "1/R(q)^5 - q^2*R(q)^5",

@@ -1,4 +1,9 @@
-"""The schoolbook kernels against their definitions, at every size and sign."""
+"""The kernels against test-local schoolbook oracles, at every size and sign.
+
+The fast paths (Kronecker multiplication, Newton inversion) take over at
+``MUL_CUTOFF`` and ``INV_CUTOFF``, so the sizes below sit on both sides
+of each cutoff.
+"""
 
 import random
 
@@ -7,6 +12,25 @@ from rrseries import _backend, _kernels_py
 
 def random_coeffs(rng, size, bits=64):
     return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(size)]
+
+
+def mixed_coeffs(rng, size, bits):
+    """Random signs, a run of zeros, and one coefficient of exactly ``bits`` bits."""
+    out = random_coeffs(rng, size, bits)
+    if size > 4:
+        start, run = rng.randrange(size - 3), rng.randrange(1, 4)
+        out[start:start + run] = [0] * run
+    if size:
+        out[rng.randrange(size)] = rng.choice((1, -1)) << (bits - 1)
+    return out
+
+
+def recurrence_inverse(a, n):
+    """Test-local oracle: b[k] = -a[0] * sum_{i=1..k} a[i] b[k-i]."""
+    b = [a[0]]
+    for k in range(1, n):
+        b.append(-a[0] * sum(a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1)))
+    return b
 
 
 def cauchy(a, b, n):
@@ -54,6 +78,77 @@ class TestKernels:
         a = random_coeffs(rng, 24, bits=600)
         b = random_coeffs(rng, 24, bits=600)
         assert _kernels_py.mul_trunc(a, b, 24) == cauchy(a, b, 24)
+
+
+MUL = _kernels_py.MUL_CUTOFF
+INV = _kernels_py.INV_CUTOFF
+
+
+class TestFastPaths:
+    def test_mul_across_cutoff(self):
+        rng = random.Random(23)
+        sizes = (1, 2, MUL - 1, MUL, MUL + 1, 2 * MUL + 3, 150)
+        for la in sizes:
+            for lb in sizes:
+                bits = rng.choice((1, 2, 8, 64, 300, 1100))
+                a = mixed_coeffs(rng, la, bits)
+                b = mixed_coeffs(rng, lb, rng.choice((1, 8, 64, 1100)))
+                # n shorter than both operands, between them, one past the
+                # last product term, and beyond it
+                for n in (1, min(la, lb), max(la, lb) + 1, la + lb, la + lb + 5):
+                    assert _kernels_py.mul_trunc(a, b, n) == cauchy(a, b, n), (la, lb, n)
+
+    def test_mul_zero_operands(self):
+        rng = random.Random(29)
+        a = random_coeffs(rng, 2 * MUL)
+        zero = [0] * (2 * MUL)
+        for n in (1, MUL, 3 * MUL):
+            assert _kernels_py.mul_trunc(a, zero, n) == [0] * n
+            assert _kernels_py.mul_trunc(zero, a, n) == [0] * n
+            assert _kernels_py.mul_trunc(zero, zero, n) == [0] * n
+
+    def test_mul_one_term(self):
+        rng = random.Random(31)
+        a = random_coeffs(rng, 3 * MUL, bits=900)
+        b = random_coeffs(rng, 3 * MUL, bits=900)
+        assert _kernels_py.mul_trunc(a, b, 1) == [a[0] * b[0]]
+
+    def test_square(self):
+        # equal operands share one packed integer
+        rng = random.Random(37)
+        for bits in (1, 64, 1100):
+            a = mixed_coeffs(rng, 3 * MUL, bits)
+            n = 3 * MUL
+            assert _kernels_py.mul_trunc(a, a, n) == cauchy(a, a, n)
+            assert _kernels_py.mul_trunc(a, list(a), n) == cauchy(a, a, n)
+
+    def test_mul_extreme_coefficients(self):
+        # 63 = 2^6 - 1 terms of |c| = 2^bits - 1, all one sign: the product
+        # coefficients need all of 2*bits + 6 bits plus the sign bit, and
+        # 2*bits + 6 is a whole number of bytes, so the slot has no slack
+        length = 63
+        assert length >= MUL
+        for bits in (5, 61, 1021):
+            top = (1 << bits) - 1
+            for a in ([top] * length, [top * (-1) ** i for i in range(length)]):
+                for b in ([top] * length, [-top] * length):
+                    n = 2 * length + 1
+                    assert _kernels_py.mul_trunc(a, b, n) == cauchy(a, b, n), bits
+
+    def test_invert_across_cutoff(self):
+        rng = random.Random(41)
+        for n in (1, 2, INV - 1, INV, INV + 1, 2 * INV + 1, 4 * INV + 3):
+            for length in (1, n // 2 + 1, n, n + 7):
+                for bits in (1, 2, 8):
+                    a = [rng.choice((1, -1))] + mixed_coeffs(rng, length - 1, bits)
+                    assert _kernels_py.invert_trunc(a, n) == recurrence_inverse(a, n)
+
+    def test_invert_huge_coefficients(self):
+        rng = random.Random(43)
+        for bits in (64, 1100):
+            a = [-1] + mixed_coeffs(rng, INV + 16, bits)
+            n = INV + 17
+            assert _kernels_py.invert_trunc(a, n) == recurrence_inverse(a, n)
 
 
 def test_active_backend_is_declared():

@@ -31,6 +31,58 @@ def theta_oracle(sign_a, r, sign_b, s, order):
     return Series(c)
 
 
+def binomial_oracle(sign, a, ratio_sign, m, order):
+    """Test-local oracle: multiply in (1 - sign*ratio_sign^k q^(a+km)) one at a time."""
+    c = [1] + [0] * (order - 1)
+    coef = sign
+    for e in range(a, order, m):
+        if e == 0:
+            c = [x - coef * x for x in c]
+        else:
+            for i in range(order - 1, e - 1, -1):
+                c[i] -= coef * c[i - e]
+        coef *= ratio_sign
+    return Series(c)
+
+
+class TestEulerSum:
+    """The Euler-sum Pochhammer products against binomial-by-binomial products."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 40, 301])
+    def test_inf_matches_fin(self, order):
+        for a in range(1, 8):
+            for m in range(1, 8):
+                assert pochhammer_inf(a, m, order) == pochhammer_fin(a, m, order, order)
+
+    def test_inf_at_catalog_order(self):
+        for a, m in ((1, 5), (2, 5), (1, 1)):
+            assert pochhammer_inf(a, m, 2000) == pochhammer_fin(a, m, 2000, 2000)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 97])
+    def test_signed_matches_binomial_oracle(self, order):
+        for sign in (1, -1):
+            for ratio_sign in (1, -1):
+                for a in range(0, 8):
+                    for m in range(1, 8):
+                        got = signed_pochhammer_inf(sign, a, ratio_sign, m, order)
+                        assert got == binomial_oracle(sign, a, ratio_sign, m, order), (
+                            sign, a, ratio_sign, m)
+
+    def test_zero_factor_vanishes(self):
+        # a = 0 with sign +1 puts the factor (1 - 1) in the product
+        assert signed_pochhammer_inf(1, 0, 1, 3, 50).is_zero()
+        assert signed_pochhammer_inf(1, 0, -1, 2, 50).is_zero()
+        assert signed_pochhammer_inf(-1, 0, 1, 3, 50)[0] == 2
+
+    @pytest.mark.parametrize("sa,r,sb,s", [
+        (1, 1, 1, 1), (1, 1, 1, 3), (-1, 1, -1, 2), (1, 3, 1, 15),
+        (1, 0, 1, 1), (1, 2, -1, 3), (-1, 4, 1, 2), (1, 1, 1, 4),
+    ])
+    def test_triple_product_at_order_1000(self, sa, r, sb, s):
+        spec = ThetaSpec(sa, r, sb, s)
+        assert theta_general(spec, 1000) == theta_product(spec, 1000)
+
+
 class TestPochhammer:
     def test_euler_product_prefix(self):
         assert pochhammer_inf(1, 1, 8).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)

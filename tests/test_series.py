@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrseries import _backend
 from rrseries.errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
 from rrseries.series import ModSeries, Series, reduce_mod
 
@@ -223,6 +224,19 @@ class TestModSeries:
     def test_reduction_is_ring_homomorphism(self, a, b, m):
         assert (a * b).reduce_mod(m) == a.reduce_mod(m) * b.reduce_mod(m)
         assert (a + b).reduce_mod(m) == a.reduce_mod(m) + b.reduce_mod(m)
+
+    def test_power_makes_no_unit_product(self, monkeypatch):
+        calls = []
+        mul = _backend.mul_trunc
+        monkeypatch.setattr(_backend, "mul_trunc", lambda *args: calls.append(1) or mul(*args))
+        m = ModSeries([3, 1, 4, 1, 5], 7)
+        assert m**1 == m
+        assert calls == []
+        assert m**0 == ModSeries([1, 0, 0, 0, 0], 7)
+        assert calls == []
+        # k = 5: squarings base^2, base^4, then one product base * base^4
+        assert m**5 == m * m * m * m * m
+        assert len(calls) == 3 + 4
 
     def test_power_tower_congruence(self):
         # f_k^(2^l) = f_(2k)^(2^(l-1)) mod 2^l, here (k, l) = (1, 3)
