@@ -21,7 +21,7 @@ from . import dsl
 from .errors import SpecOutOfRange
 # Unused here, but perfbench/tracing.py wraps catalog.pochhammer_inf and catalog.euler_f.
 from .qfunctions import euler_f, pochhammer_inf  # noqa: F401
-from .report import FAIL, PASS, VerificationReport
+from .report import first_violation, make_report
 
 # Written so that evaluation does the fewest ring operations: D inverts C,
 # and Npoly/Dpoly are Horner forms in x = q*R(q^5) of
@@ -111,21 +111,8 @@ def linking_relations(order):
         start = time.perf_counter()
         left = named_series(ltag, order).dissect(5, lres)
         right = named_series(rtag, order).dissect(5, rres)
-        n = min(left.order, right.order)
-        violation = None
-        for i in range(n):
-            lv = lmul * left[i]
-            rv = rmul * right[i]
-            if lv != rv:
-                violation = (i, lv - rv)
-                break
+        pairs = zip((lmul * v for v in left), (rmul * v for v in right))
         reports.append(
-            VerificationReport(
-                name=name,
-                status=PASS if violation is None else FAIL,
-                certified_order=n,
-                first_violation=violation,
-                elapsed=time.perf_counter() - start,
-            )
+            make_report(name, first_violation(pairs), min(left.order, right.order), start)
         )
     return reports

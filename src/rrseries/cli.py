@@ -11,7 +11,7 @@ import sys
 
 from . import catalog, dsl, verify
 from .errors import RRSeriesError
-from .report import reports_to_json, reports_to_text
+from .report import int_text, reports_to_json, reports_to_text
 
 SERIES_CHOICES = ("A", "B", "C", "D", "c", "d", "G", "H", "R")
 
@@ -99,19 +99,19 @@ def cmd_expand(args, out):
     coeffs = series.coeffs
     if args.mod is not None:
         coeffs = series.reduce_mod(args.mod).coeffs
+    digits = [int_text(c) for c in coeffs]
     if args.format == "csv":
         out.write("index,coefficient\n")
-        for n, c in enumerate(coeffs):
+        for n, c in enumerate(digits):
             out.write(f"{n},{c}\n")
     elif args.format == "json":
         import json
 
-        out.write(json.dumps(
-            {"expr": args.expr, "order": series.order, "coefficients": list(coeffs)}
-        ))
-        out.write("\n")
+        # Written by hand so that coefficients of any size print exactly.
+        out.write(f'{{"expr": {json.dumps(args.expr)}, "order": {series.order}, '
+                  f'"coefficients": [{", ".join(digits)}]}}\n')
     else:
-        out.write(", ".join(str(c) for c in coeffs))
+        out.write(", ".join(digits))
         out.write("\n")
     return EXIT_OK
 
@@ -127,12 +127,7 @@ def _emit_reports(reports, fmt, out):
 
 def cmd_verify(args, out):
     path = args.manifest or verify.default_manifest_path()
-    reports = []
-    for record in dsl.load_manifest(path):
-        reports.append(
-            verify.verify_identity(record, verify.record_order(record, args.order))
-        )
-    return _emit_reports(reports, args.format, out)
+    return _emit_reports(verify.verify_manifest(path, args.order), args.format, out)
 
 
 def cmd_scan(args, out, divisor=None):

@@ -145,6 +145,10 @@ MAX_DEPTH = 100
 # adds one level per operator without any nesting in the text.
 MAX_TREE_DEPTH = 200
 
+# Longest integer literal the parser accepts: CPython's default limit on
+# int/str conversion, so a literal never fails with a bare ValueError.
+MAX_LITERAL_DIGITS = 4300
+
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
@@ -152,16 +156,16 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^,])")
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind, text, line, column):
+    def __init__(self, kind, text, pos):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.column = column
+        self.pos = pos
 
 
 def _tokenize(text):
+    """Tokens with their offsets; line and column are found only for an error."""
     tokens = []
     pos = 0
     n = len(text)
@@ -171,19 +175,16 @@ def _tokenize(text):
             continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            line, col = _line_col(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
         if m.group(1):
             kind = "int"
         elif m.group(2):
             kind = "name"
         else:
             kind = m.group(3)
-        line, col = _line_col(text, pos)
-        tokens.append(_Token(kind, m.group(0), line, col))
+        tokens.append(_Token(kind, m.group(0), pos))
         pos = m.end()
-    line, col = _line_col(text, len(text))
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(_Token("end", "", n))
     return tokens
 
 
@@ -195,6 +196,7 @@ def _line_col(text, pos):
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
@@ -217,12 +219,20 @@ class _Parser:
         tok = self.current
         if tok.kind != kind:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.column)
+            self.fail(f"expected {kind!r}, found {shown!r}", tok)
         return self.advance()
 
-    def fail(self, message):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message, tok=None):
+        """Raise :class:`ParseError` at ``tok`` (default: the current token)."""
+        tok = tok or self.current
+        raise ParseError(message, *_line_col(self.text, tok.pos))
+
+    def int_value(self, tok):
+        """The value of an integer literal, or of the digits after ``f``."""
+        digits = tok.text.lstrip("f")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            self.fail(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", tok)
+        return int(digits)
 
     def build(self, tok, node, *children):
         """Return ``node``, built from ``children``; refuse it past MAX_TREE_DEPTH levels."""
@@ -231,9 +241,7 @@ class _Parser:
             return node
         height = 1 + max([levels[id(c)][1] if id(c) in levels else 1 for c in children])
         if height > MAX_TREE_DEPTH:
-            raise ParseError(
-                f"expression tree deeper than {MAX_TREE_DEPTH} levels", tok.line, tok.column
-            )
+            self.fail(f"expression tree deeper than {MAX_TREE_DEPTH} levels", tok)
         levels[id(node)] = (node, height)
         return node
 
@@ -276,7 +284,7 @@ class _Parser:
             if self.current.kind == "-":
                 self.advance()
                 negative = True
-            k = int(self.expect("int").text)
+            k = self.int_value(self.expect("int"))
             return self.build(caret, Pow(base, -k if negative else k), base)
         return base
 
@@ -284,7 +292,7 @@ class _Parser:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
+            return IntLit(self.int_value(tok))
         if tok.kind == "(":
             self.advance()
             node = self.parse_expr()
@@ -300,20 +308,26 @@ class _Parser:
         if name == "q":
             return Q()
         if re.fullmatch(r"f\d+", name):
-            k = int(name[1:])
+            k = self.int_value(tok)
             if k < 1:
-                raise ParseError(f"f{k} is not defined", tok.line, tok.column)
+                self.fail(f"f{k} is not defined", tok)
             return F(k)
         if name == "poch":
             a, m = self.int_args(2)
+            if a < 1 or m < 1:
+                self.fail("poch(a,m) needs a >= 1 and m >= 1", tok)
             return Poch(a, m)
         if name == "pochfin":
             a, m, n = self.int_args(3)
+            if a < 1 or m < 1 or n < 0:
+                self.fail("pochfin(a,m,n) needs a >= 1, m >= 1 and n >= 0", tok)
             return PochFin(a, m, n)
         if name == "theta":
             sa, r, sb, s = self.int_args(4)
             if sa not in (1, -1) or sb not in (1, -1):
-                raise ParseError("theta signs must be 1 or -1", tok.line, tok.column)
+                self.fail("theta signs must be 1 or -1", tok)
+            if r < 0 or s < 0:
+                self.fail("theta exponents must be >= 0", tok)
             return Theta(sa, r, sb, s)
         if name in FUN_NAMES:
             neg, t = self.parse_q_arg()
@@ -339,14 +353,13 @@ class _Parser:
             child = self.parse_expr()
             self.expect(")")
             return self.build(tok, NegQ(child), child)
-        raise UnknownSymbol(f"unknown symbol {name!r}", tok.line, tok.column)
+        raise UnknownSymbol(f"unknown symbol {name!r}", *_line_col(self.text, tok.pos))
 
     def signed_int(self):
         negative = False
         if self.current.kind in ("-", "+"):
             negative = self.advance().kind == "-"
-        tok = self.expect("int")
-        value = int(tok.text)
+        value = self.int_value(self.expect("int"))
         return -value if negative else value
 
     def int_args(self, count):
@@ -368,15 +381,11 @@ class _Parser:
             neg = True
         tok = self.expect("name")
         if tok.text != "q":
-            raise ParseError(
-                f"function argument must be q, q^t, -q, or -q^t, found {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
+            self.fail(f"function argument must be q, q^t, -q, or -q^t, found {tok.text!r}", tok)
         t = 1
         if self.current.kind == "^":
             self.advance()
-            t = int(self.expect("int").text)
+            t = self.int_value(self.expect("int"))
             if t < 1:
                 self.fail("dilation exponent must be >= 1")
         self.expect(")")
@@ -641,6 +650,8 @@ def parse_record(line, line_number=None):
             "expected '[name] (mod m)? : lhs == rhs @ anchor'", line_number
         )
     name = m.group("name").strip()
+    if len(m.group("mod") or "") > MAX_LITERAL_DIGITS:
+        raise ManifestError(f"modulus longer than {MAX_LITERAL_DIGITS} digits", line_number, name)
     modulus = int(m.group("mod")) if m.group("mod") else None
     if modulus is not None and modulus < 2:
         raise ManifestError("modulus must be >= 2", line_number, name)

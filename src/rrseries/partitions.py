@@ -14,7 +14,7 @@ five-tuple counts behind the alpha/beta inequality).
 import time
 from dataclasses import dataclass
 
-from .report import FAIL, PASS, VerificationReport
+from .report import make_report
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,5 @@ def check_alpha_beta(limit):
         if n >= 3 and not (alpha[n] >= 5 * beta[n - 1] and alpha[n] > 3 * beta[n - 1]):
             violation = (n, alpha[n] - 5 * beta[n - 1])
             break
-    return VerificationReport(
-        name=f"alpha(n) >= 5*beta(n-1) for 3 <= n <= {limit}",
-        status=PASS if violation is None else FAIL,
-        certified_order=limit + 1,
-        first_violation=violation,
-        elapsed=time.perf_counter() - start,
-    )
+    return make_report(f"alpha(n) >= 5*beta(n-1) for 3 <= n <= {limit}", violation,
+                       limit + 1, start)

@@ -1,6 +1,8 @@
 """Verification report records shared by the catalog, engine, and CLI."""
 
+import decimal
 import json
+import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -51,8 +53,60 @@ class VerificationReport:
         return d
 
 
+def make_report(name, violation, certified_order, start, report_only=False, detail=None):
+    """Report of one item, timed from ``start`` (a ``perf_counter`` reading).
+
+    The item passes when ``violation`` is None.  Every status is chosen here.
+    """
+    if report_only:
+        status = REPORT_ONLY_PASS if violation is None else REPORT_ONLY_FAIL
+    else:
+        status = PASS if violation is None else FAIL
+    return VerificationReport(
+        name=name,
+        status=status,
+        certified_order=certified_order,
+        first_violation=violation,
+        elapsed=time.perf_counter() - start,
+        detail=detail or {},
+    )
+
+
+def first_violation(pairs):
+    """``(n, got - expected)`` for the first of the (got, expected) pairs that differ, or None."""
+    for n, (got, expected) in enumerate(pairs):
+        if got != expected:
+            return (n, got - expected)
+    return None
+
+
+def int_text(n):
+    """Decimal digits of ``n``, exact at any size.
+
+    ``str`` refuses integers past the interpreter's digit limit (4300 by
+    default), and that limit is process-wide, so it is left alone.
+    """
+    return str(decimal.Decimal(n))
+
+
+def _json_text(value, level=0):
+    """``json.dumps(value, indent=2)``, with integers of any size written exactly."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int_text(value)
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json_text(v, level + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list) and value:
+        items = [_json_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    indent = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{indent}{(',' + indent).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
 def reports_to_json(reports):
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return _json_text([r.to_dict() for r in reports])
 
 
 def reports_to_text(reports):
@@ -65,7 +119,7 @@ def reports_to_text(reports):
         note = ""
         if r.first_violation is not None:
             index, value = r.first_violation
-            note = f"first violation at n={index}: {value}"
+            note = f"first violation at n={index}: {int_text(value)}"
         elif r.detail:
             note = ", ".join(f"{k}={v}" for k, v in sorted(r.detail.items()))
         lines.append(

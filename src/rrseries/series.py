@@ -14,6 +14,17 @@ from . import _backend
 from .errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
 
 
+def _power(base, k):
+    """``base**k`` for an int ``k >= 1`` by repeated squaring, with no product by one."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
 class Series:
     """Truncated formal power series sum a[n] q^n for 0 <= n < order."""
 
@@ -129,14 +140,7 @@ class Series:
             raise TypeError("series exponent must be an int")
         if k < 0:
             return self.invert() ** (-k)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return Series.one(self.order) if result is None else result
+        return _power(self, k) if k else Series.one(self.order)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -261,16 +265,7 @@ class ModSeries:
             raise TypeError("series exponent must be an int")
         if k < 0:
             raise ValueError("negative powers are not defined for ModSeries")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        if result is None:
-            return ModSeries([1] + [0] * (self.order - 1), self.modulus)
-        return result
+        return _power(self, k) if k else ModSeries([1] + [0] * (self.order - 1), self.modulus)
 
     def dissect(self, t, j):
         if not 0 <= j < t:

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 from . import catalog, dsl, partitions
 from .errors import RRSeriesError
-from .report import (
-    FAIL,
-    PASS,
-    REPORT_ONLY_FAIL,
-    REPORT_ONLY_PASS,
-    VerificationReport,
-)
+from .report import first_violation, make_report
 from .series import Series
 
 SIGN_POS = "+"
@@ -67,43 +61,21 @@ def verify_identity(record, order):
     """Check one identity record to ``order`` coefficients.
 
     Equalities compare exact coefficients of both sides; congruences
-    reduce the difference mod m so negative values normalize uniformly.
-    Evaluation errors become a fail report carrying the diagnostic.
+    compare the difference with zero mod m, and a violation shows the
+    unreduced difference.  Evaluation errors become a fail report
+    carrying the diagnostic.
     """
     start = time.perf_counter()
     try:
         lhs = dsl.evaluate(record.lhs, order)
         rhs = dsl.evaluate(record.rhs, order)
     except RRSeriesError as exc:
-        return VerificationReport(
-            name=record.name,
-            status=FAIL,
-            certified_order=0,
-            first_violation=(0, 0),
-            elapsed=time.perf_counter() - start,
-            detail={"error": str(exc)},
-        )
-    joint = min(lhs.order, rhs.order)
-    difference = lhs.truncate(joint) - rhs.truncate(joint)
-    violation = None
+        return make_report(record.name, (0, 0), 0, start, detail={"error": str(exc)})
+    difference = (lhs - rhs).coeffs
     if record.is_congruence:
-        reduced = difference.reduce_mod(record.modulus)
-        for n in range(joint):
-            if reduced[n]:
-                violation = (n, difference[n])
-                break
-    else:
-        for n in range(joint):
-            if difference[n]:
-                violation = (n, difference[n])
-                break
-    return VerificationReport(
-        name=record.name,
-        status=PASS if violation is None else FAIL,
-        certified_order=joint,
-        first_violation=violation,
-        elapsed=time.perf_counter() - start,
-    )
+        difference = [d if d % record.modulus else 0 for d in difference]
+    violation = first_violation((d, 0) for d in difference)
+    return make_report(record.name, violation, len(difference), start)
 
 
 def scan(spec, order=None, report_only=False):
@@ -112,30 +84,18 @@ def scan(spec, order=None, report_only=False):
     limit = spec.max_n if order is None else order
     series = _resolve_target(spec.target, limit)
     limit = min(limit, series.order)
-    violation = None
-    n = spec.residue
-    while n < limit:
-        value = series[n]
-        if n not in spec.exceptions:
-            if spec.sign is not None:
-                bad = value <= 0 if spec.sign == SIGN_POS else value >= 0
-            else:
-                bad = value % spec.divisor != 0
-            if bad:
-                violation = (n, value)
-                break
-        n += spec.period
-    if violation is None:
-        status = REPORT_ONLY_PASS if report_only else PASS
-    else:
-        status = REPORT_ONLY_FAIL if report_only else FAIL
-    return VerificationReport(
-        name=spec.name,
-        status=status,
-        certified_order=limit,
-        first_violation=violation,
-        elapsed=time.perf_counter() - start,
+
+    def bad(value):
+        if spec.sign is None:
+            return value % spec.divisor != 0
+        return value <= 0 if spec.sign == SIGN_POS else value >= 0
+
+    violation = next(
+        ((n, series[n]) for n in range(spec.residue, limit, spec.period)
+         if n not in spec.exceptions and bad(series[n])),
+        None,
     )
+    return make_report(spec.name, violation, limit, start, report_only)
 
 
 def check_period_args(period, prefix, order):
@@ -175,21 +135,11 @@ def period_check(series, period, prefix, name="period check", report_only=False)
             if sign_class(series[n]) != final:
                 minimal_prefix = max(minimal_prefix, n + 1)
                 break
-    ok = minimal_prefix <= prefix
-    if ok:
-        status = REPORT_ONLY_PASS if report_only else PASS
-        violation = None
-    else:
-        status = REPORT_ONLY_FAIL if report_only else FAIL
+    violation = None
+    if minimal_prefix > prefix:
         violation = (minimal_prefix - 1, series[minimal_prefix - 1])
-    return VerificationReport(
-        name=name,
-        status=status,
-        certified_order=order,
-        first_violation=violation,
-        elapsed=time.perf_counter() - start,
-        detail={"minimal_prefix": minimal_prefix, "period": period},
-    )
+    return make_report(name, violation, order, start, report_only,
+                       {"minimal_prefix": minimal_prefix, "period": period})
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +238,7 @@ def _oracle_reports(limit, link_limit):
 
     def add(name, pairs, order):
         start = time.perf_counter()
-        violation = None
-        for n, (got, expected) in enumerate(pairs):
-            if got != expected:
-                violation = (n, got - expected)
-                break
-        reports.append(
-            VerificationReport(
-                name=name,
-                status=PASS if violation is None else FAIL,
-                certified_order=order,
-                first_violation=violation,
-                elapsed=time.perf_counter() - start,
-            )
-        )
+        reports.append(make_report(name, first_violation(pairs), order, start))
 
     b25_series = catalog.named_series("b25", limit + 1)
     b25_counts = partitions.counts(partitions.B25, limit)
@@ -326,15 +263,13 @@ def _oracle_reports(limit, link_limit):
     a_series = catalog.named_series("A", link_limit)
     a2 = a_series.dissect(5, 2)
     b25_long = catalog.named_series("b25", link_limit).dissect(5, 0)
-    n = min(a2.order, b25_long.order)
     add(f"A(5n+2) = 10*b25(5n) below index {link_limit}",
-        zip((a2[i] for i in range(n)), (10 * b25_long[i] for i in range(n))), n)
+        zip(a2, (10 * v for v in b25_long)), min(a2.order, b25_long.order))
 
     a3 = a_series.dissect(5, 3)
     f_long = catalog.named_series("Fcolored", link_limit).dissect(5, 0)
-    n = min(a3.order, f_long.order)
     add(f"A(5n+3) = 5*F(5n) below index {link_limit}",
-        zip((a3[i] for i in range(n)), (5 * f_long[i] for i in range(n))), n)
+        zip(a3, (5 * v for v in f_long)), min(a3.order, f_long.order))
 
     d_series = catalog.named_series("D", 14)
     add("spot values D(3)=5, D(8)=25, D(13)=155",
@@ -343,30 +278,9 @@ def _oracle_reports(limit, link_limit):
     return reports
 
 
-def _max_dissection_period(node):
-    period = 0
-    if isinstance(node, dsl.Dissect):
-        period = node.t
-    for field_name in getattr(node, "__dataclass_fields__", ()):
-        child = getattr(node, field_name)
-        if hasattr(child, "__dataclass_fields__"):
-            period = max(period, _max_dissection_period(child))
-    return period
-
-
-def record_order(record, base_order):
-    """Verification order for one record.
-
-    A record dissecting with period t needs its parent series at t times
-    its own order, so wide dissections (t > 5) are verified at a
-    proportionally smaller order, floored at 300, to keep the parent
-    cost in line with the rest of the manifest.
-    """
-    period = max(_max_dissection_period(record.lhs),
-                 _max_dissection_period(record.rhs))
-    if period <= 5:
-        return base_order
-    return max(300, base_order * 5 // period)
+def verify_manifest(path, order):
+    """Verify every record of the manifest at ``path`` to ``order`` coefficients."""
+    return [verify_identity(record, order) for record in dsl.load_manifest(path)]
 
 
 def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
@@ -380,9 +294,7 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
     """
     if manifest_path is None:
         manifest_path = default_manifest_path()
-    reports = []
-    for record in dsl.load_manifest(manifest_path):
-        reports.append(verify_identity(record, record_order(record, order)))
+    reports = verify_manifest(manifest_path, order)
     for spec in _sign_scan_specs(scan_order):
         reports.append(scan(spec))
     for spec in _congruence_scan_specs(scan_order):

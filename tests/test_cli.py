@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import decimal
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,49 @@ class TestExpand:
         assert first == second
 
 
+class TestLargeIntegers:
+    # 1000^1499 has 4498 digits, past the interpreter's 4300-digit str() limit.
+    BIG = 1000**1499
+
+    def test_expand_text(self):
+        code, out = run_cli("expand", "(1-1000*q)^-1", "-N", "1500")
+        assert code == 0
+        last = out.rstrip("\n").split(", ")[-1]
+        assert int(decimal.Decimal(last)) == self.BIG
+
+    def test_expand_csv(self):
+        code, out = run_cli("expand", "(1-1000*q)^-1", "-N", "1500", "--format", "csv")
+        assert code == 0
+        index, last = out.splitlines()[-1].split(",")
+        assert (index, int(decimal.Decimal(last))) == ("1499", self.BIG)
+
+    def test_expand_json(self):
+        code, out = run_cli("expand", "(1-1000*q)^-1", "-N", "1500", "--format", "json")
+        assert code == 0
+        payload = json.loads(out, parse_int=lambda text: int(decimal.Decimal(text)))
+        assert payload["order"] == 1500
+        assert payload["coefficients"][-1] == self.BIG
+
+    @pytest.fixture
+    def big_manifest(self, tmp_path):
+        path = tmp_path / "big.manifest"
+        path.write_text("[big] : dissect((1-1000*q)^-1, 1500, 1499) == 0\n", encoding="utf-8")
+        return str(path)
+
+    def test_report_text(self, big_manifest):
+        code, out = run_cli("verify", "--manifest", big_manifest, "-N", "1")
+        assert code == 1
+        note = out.splitlines()[2].split("first violation at n=0: ")[1]
+        assert int(decimal.Decimal(note)) == self.BIG
+
+    def test_report_json(self, big_manifest):
+        code, out = run_cli("verify", "--manifest", big_manifest, "-N", "1", "--format", "json")
+        assert code == 1
+        (report,) = json.loads(out, parse_int=lambda text: int(decimal.Decimal(text)))
+        assert report["status"] == "fail"
+        assert report["first_violation"] == {"index": 0, "value": self.BIG}
+
+
 class TestVerify:
     def test_good_manifest(self, tmp_path):
         path = tmp_path / "ok.manifest"
@@ -107,6 +152,13 @@ class TestVerify:
         second = run_cli("verify", "-N", "40")
         assert first == second
         assert first[0] == 0
+
+    def test_bad_product_parameters_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.manifest"
+        path.write_text("[ok] : q == q\n[bad] : poch(0,5) == 1\n", encoding="utf-8")
+        code, out = run_cli("verify", "--manifest", str(path), "-N", "10")
+        assert (code, out) == (2, "")
+        assert "record 'bad', line 2: poch(a,m) needs" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         path = tmp_path / "ok.manifest"
@@ -181,6 +233,16 @@ class TestScans:
         code, _ = run_cli("scan", "--series", "A", "--period", "5",
                           "--residue", "7", "--sign", "neg")
         assert code == 2
+
+
+class TestPaperSuite:
+    def test_text_output_is_pinned(self):
+        # Report names, statuses, orders and notes of the whole suite; a change
+        # that raises certified orders regenerates the file on purpose.
+        golden = Path(__file__).parent / "data" / "paper_suite_N300_scan1000.txt"
+        code, out = run_cli("paper-suite", "-N", "300", "--scan-n", "1000")
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestEntryPoint:

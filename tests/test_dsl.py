@@ -29,8 +29,22 @@ from rrseries.dsl import (
     parse_record,
     unparse,
 )
-from rrseries.errors import EvaluationError, ManifestError, ParseError, UnknownSymbol
+from rrseries.errors import (
+    EvaluationError,
+    ManifestError,
+    ParseError,
+    RRSeriesError,
+    UnknownSymbol,
+)
 from rrseries.series import Series
+
+
+# Fragments that concatenate into text close to the grammar.
+PARSE_TOKENS = [
+    "q", "f", "f0", "f1", "f25", "poch", "pochfin", "theta", "phi", "psi", "chi", "G",
+    "H", "R", "dilate", "dissect", "negq", "(", ")", ",", "+", "-", "*", "/", "^",
+    "0", "1", "5", "-1", "1" * (dsl.MAX_LITERAL_DIGITS + 1), " ", "\n",
+]
 
 
 class TestParse:
@@ -104,6 +118,53 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.line == 1
+
+    def test_successful_parse_computes_no_position(self, monkeypatch):
+        calls = []
+        line_col = dsl._line_col
+        monkeypatch.setattr(dsl, "_line_col", lambda *args: calls.append(1) or line_col(*args))
+        parse("\n + ".join(f"{i}*q^{i}" for i in range(150)))
+        assert calls == []
+
+    def test_long_chain_position_is_found_once(self, monkeypatch):
+        calls = []
+        line_col = dsl._line_col
+        monkeypatch.setattr(dsl, "_line_col", lambda *args: calls.append(1) or line_col(*args))
+        with pytest.raises(ParseError) as info:
+            parse("+".join(["q"] * (128 * 1024)))  # 256 KB
+        assert (info.value.line, info.value.column) == (1, 2 * dsl.MAX_TREE_DEPTH)
+        assert calls == [1]
+
+    def test_integer_literal_length_is_bounded(self):
+        limit = dsl.MAX_LITERAL_DIGITS
+        assert parse("9" * limit) == IntLit(int("9" * limit))
+        for text in ("1" * (limit + 1), "q^" + "1" * (limit + 1), "f" + "1" * (limit + 1),
+                     "dissect(q, 2, " + "1" * (limit + 1) + ")"):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert "longer than" in str(info.value)
+            assert info.value.line == 1
+
+    @pytest.mark.parametrize("text, column", [
+        ("poch(0,5)", 1), ("poch(1,0)", 1), ("pochfin(0,1,2)", 1),
+        ("pochfin(1,1,-1)", 1), ("q*pochfin(1,0,2)", 3), ("theta(1,-1,1,2)", 1),
+    ])
+    def test_bad_product_parameters_are_parse_errors(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @given(st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789q+-*/^(),@ \nfpochinetaswrldgGHRx"),
+        st.lists(st.sampled_from(PARSE_TOKENS), max_size=40).map("".join),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_parse_raises_only_typed_errors(self, text):
+        try:
+            parse(text)
+        except RRSeriesError:
+            pass
 
     def test_tree_depth_counts_every_operator(self):
         for op in ("+", "-", "*", "/"):
@@ -240,6 +301,10 @@ class TestManifest:
         with pytest.raises(ManifestError):
             parse_record("[x] (mod 1) : q == q")
 
+    def test_long_modulus_is_a_manifest_error(self):
+        with pytest.raises(ManifestError):
+            parse_record(f"[x] (mod {'3' * (dsl.MAX_LITERAL_DIGITS + 1)}) : q == q")
+
     def test_load_manifest_round_trip(self, tmp_path):
         path = tmp_path / "test.manifest"
         path.write_text(
@@ -271,6 +336,13 @@ class TestManifest:
         with pytest.raises(ManifestError) as info:
             load_manifest(path)
         assert info.value.name == "broken"
+
+    def test_bad_product_parameters_name_the_record(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_text("[ok] : q == q\n[bad] : poch(0,5) == 1\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert (info.value.name, info.value.line_number) == ("bad", 2)
 
     def test_bundled_manifest_loads_and_round_trips(self):
         from rrseries.verify import default_manifest_path

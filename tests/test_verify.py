@@ -1,10 +1,11 @@
 """Verification engine: identity checks, scans, periodicity, reports."""
 
+import io
 import json
 
 import pytest
 
-from rrseries import verify
+from rrseries import cli, verify
 from rrseries.dsl import parse, parse_record
 from rrseries.report import reports_to_json, reports_to_text
 from rrseries.series import Series
@@ -186,16 +187,16 @@ class TestReports:
         assert first == second
 
 
-class TestRecordOrderPolicy:
-    def test_plain_records_run_at_base_order(self):
-        rec = parse_record("[x] : q == q")
-        assert verify.record_order(rec, 500) == 500
+class TestVerifyManifest:
+    # dilate(f1, 16) keeps the order-16N series the dissection needs cheap.
+    RECORD = "[w16] : dissect(dilate(f1, 16), 16, 0) == f1 @ f1(q^16) dissected\n"
 
-    def test_five_dissection_runs_at_base_order(self):
-        rec = parse_record("[x] : dissect(f1, 5, 2) == q")
-        assert verify.record_order(rec, 500) == 500
-
-    def test_wide_dissection_scales_down(self):
-        rec = parse_record("[x] : dissect(f1, 16, 13) == q")
-        assert verify.record_order(rec, 500) == 300
-        assert verify.record_order(rec, 2000) == 625
+    @pytest.mark.parametrize("order", [500, 60])
+    def test_period_16_record_is_certified_at_requested_order(self, tmp_path, order):
+        path = tmp_path / "wide.manifest"
+        path.write_text(self.RECORD, encoding="utf-8")
+        (report,) = verify.verify_manifest(str(path), order)
+        assert (report.name, report.status, report.certified_order) == ("w16", "pass", order)
+        out = io.StringIO()
+        assert cli.main(["verify", "--manifest", str(path), "-N", str(order)], out=out) == 0
+        assert out.getvalue().splitlines()[2].split() == ["w16", "pass", str(order)]
