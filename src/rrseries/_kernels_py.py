@@ -11,7 +11,15 @@ ints, so the kernels are exact at any size.
   Below ``MUL_CUTOFF`` terms in the shorter operand the schoolbook loop
   is faster, because packing costs a few Python operations per term.
 - ``invert_trunc`` uses Newton iteration, doubling the precision each
-  step, on top of the recurrence for orders up to ``INV_CUTOFF``.
+  step, on top of the recurrence for orders up to ``INV_CUTOFF``.  When
+  that base case shows the coefficients growing by ``STEEP_BITS`` or more
+  bits per term, as in 1/(1 - 1000q), the recurrence runs to the end:
+  Newton would multiply two wide series where the recurrence multiplies
+  a narrow one by a wide one.
+
+With ``modulus=m``, ``invert_trunc`` works in Z/mZ: it reduces every
+product of a Newton step, and every term of the recurrence, to balanced
+residues (``balanced``), so no coefficient grows past m.
 
 Both give the same integers as the schoolbook loops ``_mul_schoolbook``
 and ``_invert_recurrence``, which stay as the small-size paths.  The
@@ -25,6 +33,23 @@ MUL_CUTOFF = 32
 
 # Order up to which the recurrence beats Newton iteration.
 INV_CUTOFF = 64
+
+# Growth of the inverse, in bits per term, from which the recurrence beats
+# Newton iteration at every order.  At order 2000 on a 2-vCPU host with
+# CPython 3.11, 1/(1 - 3q - 5q^2) (2.3 bits per term) takes 2.5 ms by the
+# recurrence against 70 ms by Newton, while 1/f1^24 (1.2 bits per term
+# near the base, sublinear beyond) takes 0.6 s by the recurrence against
+# 0.45 s by Newton.
+STEEP_BITS = 2
+
+
+def balanced(coeffs, m):
+    """Each coefficient reduced mod ``m`` into the balanced range (-m/2, m/2];
+    ``coeffs`` itself when ``m`` is None."""
+    if m is None:
+        return coeffs
+    h = (m - 1) // 2
+    return [(c + h) % m - h for c in coeffs]
 
 
 def mul_trunc(a, b, n):
@@ -96,37 +121,50 @@ def _mul_kronecker(a, b, n):
     return out
 
 
-def invert_trunc(a, n):
-    """First ``n`` coefficients of 1/a.
+def invert_trunc(a, n, *, modulus=None):
+    """First ``n`` coefficients of 1/a, or their balanced residues mod ``modulus``.
 
     Requires ``a[0]`` in {+1, -1}; the caller checks.  If b is 1/a to k
     terms, then a*b = 1 + q^k*h and b - q^k*b*h is 1/a to 2k terms.
     """
-    if n <= INV_CUTOFF:
-        return _invert_recurrence(a, n)
-    k = (n + 1) // 2
-    b = invert_trunc(a, k)
-    # these products call this module's mul_trunc, not _backend's, so a
-    # profiler counting _backend.mul_trunc sees series products only
-    h = mul_trunc(a, b, n)[k:]
-    correction = mul_trunc(b, h, n - k)
-    b += [-c for c in correction]
+    precisions = [n]
+    while precisions[-1] > INV_CUTOFF:
+        precisions.append((precisions[-1] + 1) // 2)
+    b = _invert_recurrence(a, precisions.pop(), modulus)
+    if precisions and _grows_steeply(b):
+        return _invert_recurrence(a, n, modulus)
+    for size in reversed(precisions):
+        k = len(b)
+        # these products call this module's mul_trunc, not _backend's, so a
+        # profiler counting _backend.mul_trunc sees series products only
+        h = balanced(mul_trunc(a, b, size)[k:], modulus)
+        b += balanced([-c for c in mul_trunc(b, h, size - k)], modulus)
     return b
 
 
-def _invert_recurrence(a, n):
-    """b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0])."""
+def _grows_steeply(b):
+    """True if the bits of ``b`` grow by STEEP_BITS or more per term from its
+    first half to its second; ``b`` is a base case, so this costs O(1) in n."""
+    half = len(b) // 2
+    return _bits(b[half:]) - _bits(b[:half]) >= STEEP_BITS * (len(b) - half)
+
+
+def _invert_recurrence(a, n, modulus=None):
+    """b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0]), each b[k]
+    reduced mod ``modulus`` when one is given."""
     a0 = a[0]
+    h = None if modulus is None else (modulus - 1) // 2
     out = [0] * n
-    out[0] = a0
-    alen = len(a)
+    out[0] = a0 if h is None else (a0 + h) % modulus - h
+    # the nonzero a[i], so a sparse a costs O(n) per nonzero term
+    terms = [(i, a[i]) for i in range(1, min(len(a), n)) if a[i]]
     for k in range(1, n):
         acc = 0
-        for i in range(1, k + 1 if k < alen else alen):
-            ai = a[i]
-            if ai:
-                acc += ai * out[k - i]
-        out[k] = -a0 * acc
+        for i, ai in terms:
+            if i > k:
+                break
+            acc += ai * out[k - i]
+        out[k] = -a0 * acc if h is None else (h - a0 * acc) % modulus - h
     return out
 
 

@@ -63,11 +63,11 @@ def parent_order(order, t, j=None):
     return t * (order - 1) + j + 1
 
 
-def named_series(tag, order):
-    """Catalog lookup: the series ``tag`` truncated to ``order``."""
+def named_series(tag, order, modulus=None):
+    """Catalog lookup: the series ``tag`` truncated to ``order`` (mod ``modulus``)."""
     if tag not in _NODES:
         raise SpecOutOfRange(f"unknown series tag {tag!r}")
-    return dsl.evaluate(_NODES[tag], order)
+    return dsl.evaluate(_NODES[tag], order, modulus)
 
 
 def clear_cache():

@@ -95,7 +95,7 @@ def _target(args):
 
 
 def cmd_expand(args, out):
-    series = dsl.evaluate(dsl.parse(args.expr), args.order)
+    series = dsl.evaluate(dsl.parse(args.expr), args.order, args.mod)
     coeffs = series.coeffs
     if args.mod is not None:
         coeffs = series.reduce_mod(args.mod).coeffs

@@ -22,14 +22,16 @@ A manifest is a UTF-8 line-oriented file of identity records:
     [name] (mod m)? : <lhs-expr> == <rhs-expr> @ anchor-text
 """
 
+import operator
 import re
 import threading
 from dataclasses import dataclass
 
 from . import qfunctions
-from .errors import EvaluationError, ManifestError, NonUnitConstantTerm, ParseError, UnknownSymbol
+from .errors import (BudgetExceeded, EvaluationError, InvalidModulus, ManifestError,
+                     NonUnitConstantTerm, ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
-from .series import Series
+from .series import Series, require_unit
 
 # ---------------------------------------------------------------------------
 # AST
@@ -148,6 +150,15 @@ MAX_TREE_DEPTH = 200
 # Longest integer literal the parser accepts: CPython's default limit on
 # int/str conversion, so a literal never fails with a bare ValueError.
 MAX_LITERAL_DIGITS = 4300
+
+# Evaluation budget, checked over the whole tree before anything is built.
+# MAX_ORDER bounds the order any node is evaluated at (a dissection child
+# needs t times its parent's order); it sits far above the orders the suite
+# and the paper checks use (at most 20000) and keeps a series of 10^9 terms
+# from being allocated.  MAX_EXPONENT bounds |k| in e^k, the number of
+# squarings one power makes.
+MAX_ORDER = 1_000_000
+MAX_EXPONENT = 1_000_000
 
 # ---------------------------------------------------------------------------
 # Lexer / parser
@@ -480,11 +491,19 @@ _FUN_DEFINITIONS = {
     "R": parse("poch(1,5)*poch(4,5)/(poch(2,5)*poch(3,5))"),
 }
 
-# The package's one memo cache: node -> the longest series computed for it.
-# A node's value at a lower order is a prefix of its value at a higher one,
-# so shorter requests are served by truncation.
+# The package's one memo cache.  An exact value is keyed by its node, a
+# value mod m (balanced residues) by (node, m); each key keeps the longest
+# series computed for it.  A node's value at a lower order is a prefix of
+# its value at a higher one, so shorter requests are served by truncation,
+# and a long enough exact value serves every modulus by reduction.
 _eval_cache = {}
 _eval_lock = threading.Lock()
+
+# Atoms are built (and cached) exactly and then reduced, so every modulus
+# shares one exact build.
+_ATOMS = (IntLit, Q, F, Poch, PochFin, Theta)
+
+_RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def clear_cache():
@@ -492,7 +511,7 @@ def clear_cache():
         _eval_cache.clear()
 
 
-def evaluate(node, order):
+def evaluate(node, order, modulus=None):
     """Evaluate to a :class:`Series` of exactly ``order`` correct coefficients.
 
     Requested orders propagate down the tree (a dissection child is
@@ -500,27 +519,66 @@ def evaluate(node, order):
     quotient), so the result's order is its true certified order.
     Every node's longest result is memoized and serves any lower order
     by truncation; series are immutable so the cache is safe to share.
+
+    With ``modulus=m`` the result is the value's balanced residues mod m,
+    computed in Z/mZ: every sum, product, power and inversion is reduced
+    as it is formed.  A division or negative power still needs the exact
+    constant term of its denominator to be +1 or -1.  A tree that needs an
+    order above MAX_ORDER or an exponent above MAX_EXPONENT raises
+    :class:`BudgetExceeded` before anything is built.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _evaluate(node, order, ())
+    if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
+        raise InvalidModulus(f"modulus {modulus!r} must be an int >= 2")
+    return _evaluate(node, order, modulus, ())
 
 
-def _evaluate(node, order, path):
+def _evaluate(node, order, m, path):
+    key = node if m is None else (node, m)
     with _eval_lock:
-        hit = _eval_cache.get(node)
+        exact = _eval_cache.get(node)
+        hit = exact if m is None else _eval_cache.get(key)
+    if exact is not None and exact.order >= order:
+        exact = exact.truncate(order)
+        return exact if m is None else exact.residues(m)
     if hit is not None and hit.order >= order:
         return hit.truncate(order)
-    value = _compute(node, order, path)
+    if not path:
+        _check_budget(node, order)
+    value = _compute(node, order, m, path)
     if value.order != order:
         raise AssertionError(
             f"internal: expected order {order}, got {value.order} for {unparse(node)}"
         )
     with _eval_lock:
-        hit = _eval_cache.get(node)
+        hit = _eval_cache.get(key)
         if hit is None or hit.order < order:
-            _eval_cache[node] = value
+            _eval_cache[key] = value
     return value
+
+
+def _check_budget(node, order):
+    """Raise BudgetExceeded if evaluating ``node`` to ``order`` would pass the budget."""
+    if order > MAX_ORDER:
+        raise BudgetExceeded(
+            f"{unparse(node)} needs order {order}, above the budget of {MAX_ORDER}"
+        )
+    if isinstance(node, Pow):
+        if abs(node.exponent) > MAX_EXPONENT:
+            raise BudgetExceeded(
+                f"exponent {node.exponent} in {unparse(node)} is above the budget of {MAX_EXPONENT}"
+            )
+        _check_budget(node.base, order)
+    elif isinstance(node, Dissect):
+        _check_budget(node.child, max(node.t, 1) * order)
+    elif isinstance(node, Dilate):
+        _check_budget(node.child, -(-order // max(node.t, 1)))
+    elif isinstance(node, (Add, Sub, Mul, Div)):
+        _check_budget(node.left, order)
+        _check_budget(node.right, order)
+    elif isinstance(node, (Neg, NegQ)):
+        _check_budget(node.child, order)
 
 
 def _dilate_to(series, t, order):
@@ -528,28 +586,41 @@ def _dilate_to(series, t, order):
     dilated = series.dilate(t)
     if dilated.order >= order:
         return dilated.truncate(order)
-    padded = list(dilated.coeffs) + [0] * (series.order * t - dilated.order)
-    return Series(padded[:order])
+    return Series(list(dilated.coeffs) + [0] * (order - dilated.order))
 
 
-def _fun_series(name, t, neg, order, path):
+def _fun_series(name, t, neg, order, m, path):
     base_order = (order + t - 1) // t
-    if name == "phi":
-        base = qfunctions.phi(base_order)
-    elif name == "psi":
-        base = qfunctions.psi(base_order)
-    elif name == "chi":
-        base = qfunctions.chi(base_order)
+    if name in _FUN_DEFINITIONS:
+        base = _evaluate(_FUN_DEFINITIONS[name], base_order, m, path)
     else:
-        base = _evaluate(_FUN_DEFINITIONS[name], base_order, path)
+        base = getattr(qfunctions, name)(base_order).residues(m)
     if neg:
-        base = base.negate_q()
+        base = base.negate_q().residues(m)
     if t == 1:
         return base
     return _dilate_to(base, t, order)
 
 
-def _compute(node, order, path):
+def _inverse(node, value, m, path, verb):
+    """``value`` inverted (mod ``m``), where ``value`` is ``node`` evaluated.
+
+    A residue can be a unit where the exact value is not (3 = -1 mod 4),
+    so with a modulus the exact constant term, from an order-1 evaluation,
+    decides.
+    """
+    try:
+        if m is not None:
+            require_unit(_evaluate(node, 1, None, path)[0])
+        return value.invert(m)
+    except NonUnitConstantTerm as exc:
+        where = "/".join(path)
+        raise EvaluationError(f"cannot {verb}: {exc} in {unparse(node)} (at {where})") from exc
+
+
+def _compute(node, order, m, path):
+    if m is not None and isinstance(node, _ATOMS):
+        return _evaluate(node, order, None, path).residues(m)
     if isinstance(node, IntLit):
         return Series.constant(node.value, order)
     if isinstance(node, Q):
@@ -564,55 +635,38 @@ def _compute(node, order, path):
         spec = ThetaSpec(node.sign_a, node.r, node.sign_b, node.s)
         return qfunctions.theta_general(spec, order)
     if isinstance(node, Fun):
-        return _fun_series(node.name, node.t, node.neg, order, path)
-    if isinstance(node, Add):
-        return _evaluate(node.left, order, path + ("left",)) + _evaluate(
-            node.right, order, path + ("right",)
-        )
-    if isinstance(node, Sub):
-        return _evaluate(node.left, order, path + ("left",)) - _evaluate(
-            node.right, order, path + ("right",)
-        )
-    if isinstance(node, Mul):
-        return _evaluate(node.left, order, path + ("left",)) * _evaluate(
-            node.right, order, path + ("right",)
-        )
+        return _fun_series(node.name, node.t, node.neg, order, m, path)
+    if type(node) in _RING_OPS:
+        left = _evaluate(node.left, order, m, path + ("left",))
+        right = _evaluate(node.right, order, m, path + ("right",))
+        return _RING_OPS[type(node)](left, right).residues(m)
     if isinstance(node, Div):
-        den = _evaluate(node.right, order, path + ("denominator",))
-        try:
-            inv = den.invert()
-        except NonUnitConstantTerm as exc:
-            where = "/".join(path + ("denominator",))
-            raise EvaluationError(
-                f"cannot divide: {exc} in {unparse(node.right)} (at {where})"
-            ) from exc
-        return _evaluate(node.left, order, path + ("numerator",)) * inv
+        where = path + ("denominator",)
+        inv = _inverse(node.right, _evaluate(node.right, order, m, where), m, where, "divide")
+        return (_evaluate(node.left, order, m, path + ("numerator",)) * inv).residues(m)
     if isinstance(node, Pow):
-        base = _evaluate(node.base, order, path + ("base",))
-        try:
-            return base**node.exponent
-        except NonUnitConstantTerm as exc:
-            where = "/".join(path + ("base",))
-            raise EvaluationError(
-                f"cannot raise to {node.exponent}: {exc} in {unparse(node.base)}"
-                f" (at {where})"
-            ) from exc
+        where = path + ("base",)
+        base = _evaluate(node.base, order, m, where)
+        if node.exponent < 0:
+            verb = f"raise to {node.exponent}"
+            return pow(_inverse(node.base, base, m, where, verb), -node.exponent, m)
+        return pow(base, node.exponent, m)
     if isinstance(node, Neg):
-        return -_evaluate(node.child, order, path + ("child",))
+        return (-_evaluate(node.child, order, m, path + ("child",))).residues(m)
     if isinstance(node, Dilate):
         if node.t < 1:
             raise EvaluationError(f"dilation factor must be >= 1 in {unparse(node)}")
         child_order = (order + node.t - 1) // node.t
-        child = _evaluate(node.child, child_order, path + ("child",))
+        child = _evaluate(node.child, child_order, m, path + ("child",))
         return _dilate_to(child, node.t, order)
     if isinstance(node, NegQ):
-        return _evaluate(node.child, order, path + ("child",)).negate_q()
+        return _evaluate(node.child, order, m, path + ("child",)).negate_q().residues(m)
     if isinstance(node, Dissect):
         if node.t < 1 or not 0 <= node.j < node.t:
             raise EvaluationError(
                 f"dissection needs t >= 1 and 0 <= j < t in {unparse(node)}"
             )
-        child = _evaluate(node.child, node.t * order, path + ("child",))
+        child = _evaluate(node.child, node.t * order, m, path + ("child",))
         return child.dissect(node.t, node.j).truncate(order)
     raise TypeError(f"not an expression node: {node!r}")
 

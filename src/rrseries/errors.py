@@ -66,3 +66,7 @@ class ManifestError(RRSeriesError):
 
 class EvaluationError(RRSeriesError):
     """Expression evaluation failed; message includes the subexpression path."""
+
+
+class BudgetExceeded(EvaluationError):
+    """Evaluation would pass the declared order or exponent budget."""

@@ -8,21 +8,33 @@ them safe to share across threads.
 Truncation contract: binary operations return the minimum of the operand
 orders; ``dissect`` and ``dilate`` adjust the order by the exact index
 formulas so a result never claims coefficients it cannot certify.
+
+Arithmetic mod m is done by the evaluator on series of balanced residues
+(:meth:`Series.residues`): it reduces after each ring operation, and
+``pow(s, k, m)`` and ``s.invert(m)`` reduce inside, so no coefficient
+grows past m.
 """
 
 from . import _backend
 from .errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
 
 
-def _power(base, k):
-    """``base**k`` for an int ``k >= 1`` by repeated squaring, with no product by one."""
+def _power(base, k, modulus=None):
+    """``base**k`` for an int ``k >= 1`` by repeated squaring, with no product
+    by one; each product is reduced mod ``modulus`` when one is given."""
     result = None
     while k:
         if k & 1:
-            result = base if result is None else result * base
-        base = base * base if k > 1 else base
+            result = base if result is None else (result * base).residues(modulus)
+        base = (base * base).residues(modulus) if k > 1 else base
         k >>= 1
     return result
+
+
+def require_unit(constant):
+    """Raise NonUnitConstantTerm unless ``constant`` is +1 or -1."""
+    if constant not in (1, -1):
+        raise NonUnitConstantTerm(f"constant term {constant} is not a unit in Z[[q]]")
 
 
 class Series:
@@ -126,21 +138,21 @@ class Series:
         n = min(self.order, other.order)
         return Series(_backend.mul_trunc(list(self.coeffs), list(other.coeffs), n))
 
-    def invert(self):
-        """Multiplicative inverse; the constant term must be +1 or -1."""
-        if self.coeffs[0] not in (1, -1):
-            raise NonUnitConstantTerm(
-                f"constant term {self.coeffs[0]} is not a unit in Z[[q]]"
-            )
-        return Series(_backend.invert_trunc(list(self.coeffs), self.order))
+    def invert(self, modulus=None):
+        """Multiplicative inverse (mod ``modulus``); the constant term must be +1 or -1."""
+        require_unit(self.coeffs[0])
+        return Series(_backend.invert_trunc(list(self.coeffs), self.order, modulus=modulus))
 
-    def __pow__(self, k):
-        """Integer power by repeated squaring; negative k inverts first."""
+    def __pow__(self, k, modulus=None):
+        """Integer power by repeated squaring; negative k inverts first.
+
+        ``pow(s, k, m)`` reduces every product mod m.
+        """
         if not isinstance(k, int):
             raise TypeError("series exponent must be an int")
         if k < 0:
-            return self.invert() ** (-k)
-        return _power(self, k) if k else Series.one(self.order)
+            return pow(self.invert(modulus), -k, modulus)
+        return _power(self, k, modulus) if k else Series.one(self.order)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -184,12 +196,18 @@ class Series:
 
     # -- reduction -----------------------------------------------------------
 
+    def residues(self, m):
+        """Coefficientwise reduction into the balanced range (-m/2, m/2];
+        the series itself when ``m`` is None, so exact and mod m code agree."""
+        return self if m is None else Series(_backend.balanced(self.coeffs, m))
+
     def reduce_mod(self, m):
         return ModSeries([c % m for c in self.coeffs], m)
 
 
 class ModSeries:
-    """Truncated series with coefficients reduced into [0, m)."""
+    """Truncated series with coefficients reduced into [0, m): the printed form
+    of a result mod m.  Arithmetic mod m is done on :meth:`Series.residues`."""
 
     __slots__ = ("coeffs", "modulus")
 
@@ -227,54 +245,6 @@ class ModSeries:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return ModSeries(self.coeffs[:order], self.modulus)
-
-    def _check_compatible(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        m = self.modulus
-        return ModSeries(
-            [(self.coeffs[i] + other.coeffs[i]) % m for i in range(n)], m
-        )
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        m = self.modulus
-        return ModSeries(
-            [(self.coeffs[i] - other.coeffs[i]) % m for i in range(n)], m
-        )
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        raw = _backend.mul_trunc(list(self.coeffs), list(other.coeffs), n)
-        return ModSeries(raw, self.modulus)
-
-    def __pow__(self, k):
-        """Integer power by repeated squaring, as for :class:`Series`."""
-        if not isinstance(k, int):
-            raise TypeError("series exponent must be an int")
-        if k < 0:
-            raise ValueError("negative powers are not defined for ModSeries")
-        return _power(self, k) if k else ModSeries([1] + [0] * (self.order - 1), self.modulus)
-
-    def dissect(self, t, j):
-        if not 0 <= j < t:
-            raise ResidueOutOfRange(f"residue {j} not in [0, {t})")
-        if j >= self.order:
-            raise ValueError(
-                f"order {self.order} series has no coefficient at exponent {j}"
-            )
-        return ModSeries(self.coeffs[j::t], self.modulus)
 
 
 def reduce_mod(s, m):

@@ -152,6 +152,25 @@ def test_criterion_4_congruence_families():
                 f"{SCAN_LIMIT}, moduli 3/4/15/30)", ok)
 
 
+# The same eight families through the Z/mZ path, far past SCAN_LIMIT: no
+# exact series that long is cached, so each target is evaluated mod its
+# modulus (about 2 s on a 2-vCPU host).
+MOD_SCAN_LIMIT = 12000
+
+
+def test_criterion_4_congruence_families_mod_m():
+    reports = []
+    for tag, period, residues, modulus in CONGRUENCES:
+        for residue in residues:
+            spec = verify.ScanSpec(name=f"{tag}({period}n+{residue})", target=tag,
+                                   period=period, residue=residue, divisor=modulus,
+                                   max_n=MOD_SCAN_LIMIT)
+            reports.append(verify.scan(spec))
+    ok = all(r.status == "pass" and r.certified_order == MOD_SCAN_LIMIT for r in reports)
+    announce(4, f"eight congruence families in Z/mZ ({len(reports)} progressions "
+                f"below {MOD_SCAN_LIMIT})", ok)
+
+
 # --- 5: oracle equivalence -----------------------------------------------------
 
 def test_criterion_5_oracle_equivalence():

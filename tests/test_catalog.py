@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from rrseries import _backend, catalog, dsl, partitions
+from rrseries import catalog, dsl, partitions
 from rrseries.catalog import f_mrs, linking_relations, named_series, np_dp_polynomials, parent_order
 from rrseries.errors import SpecOutOfRange
 from rrseries.qfunctions import euler_f
@@ -19,20 +19,6 @@ def dict_mul(a, b, order):
             if i + j < order:
                 out[i + j] = out.get(i + j, 0) + ai * bj
     return {e: c for e, c in out.items() if c}
-
-
-def count_kernel_calls(monkeypatch):
-    """Record the name of every kernel call from now to the end of the test."""
-    calls = []
-    for name in ("mul_trunc", "invert_trunc", "binomial_update"):
-        kernel = getattr(_backend, name)
-
-        def counted(*args, _name=name, _kernel=kernel):
-            calls.append(_name)
-            return _kernel(*args)
-
-        monkeypatch.setattr(_backend, name, counted)
-    return calls
 
 
 def a_series_oracle(order):
@@ -99,21 +85,21 @@ class TestNamedSeries:
         assert named_series("Rinv", 12) == named_series("c", 12)
         assert named_series("d", 12) == named_series("R", 12)
 
-    def test_cache_serves_truncations(self, monkeypatch):
+    def test_cache_serves_truncations(self, count_kernel_calls):
         node = dsl.parse("G(q^2)*H(q^3)")  # evaluated by no other test
         long = dsl.evaluate(node, 60)
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_kernel_calls()
         short = dsl.evaluate(node, 20)
         assert short == long.truncate(20)
         assert calls == []
 
-    def test_aliases_share_one_cache_entry(self, monkeypatch):
+    def test_aliases_share_one_cache_entry(self, count_kernel_calls):
         named_series("R", 77)
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_kernel_calls()
         assert named_series("d", 77) == named_series("R", 77)
         assert calls == []
 
-    def test_concurrent_reads(self, monkeypatch):
+    def test_concurrent_reads(self, count_kernel_calls):
         node = dsl.parse("H(q^2)/G(q^3)")  # evaluated by no other test
         orders = [90 - i for i in range(12)]  # longest first, similar costs
         results = {}
@@ -135,7 +121,7 @@ class TestNamedSeries:
         longest = results[max(orders)]
         assert all(results[n] == longest.truncate(n) for n in orders)
         # a lost update would leave a shorter series cached
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_kernel_calls()
         assert dsl.evaluate(node, max(orders)) == longest
         assert calls == []
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rrseries import _backend, cli
+from rrseries import cli, dsl
 
 
 def run_cli(*argv):
@@ -49,6 +49,25 @@ class TestExpand:
         code, out = run_cli("expand", "f1^3 - f3", "-N", "6", "--mod", "3")
         assert code == 0
         assert out == "0, 0, 0, 0, 0, 0\n"
+
+    def test_mod_prints_residues_of_the_exact_series(self):
+        dsl.clear_cache()
+        code, out = run_cli("expand", "1/R(q)^5", "-N", "300", "--mod", "4")
+        assert code == 0
+        exact = dsl.evaluate(dsl.parse("1/R(q)^5"), 300)
+        assert out == ", ".join(str(c % 4) for c in exact.coeffs) + "\n"
+
+    def test_mod_below_two_exits_2(self, capsys):
+        code, out = run_cli("expand", "f1", "-N", "6", "--mod", "1")
+        assert (code, out) == (2, "")
+        assert "modulus 1 must be an int >= 2" in capsys.readouterr().err
+
+    def test_order_budget_exits_2_before_building(self, count_kernel_calls, capsys):
+        calls = count_kernel_calls()
+        code, out = run_cli("expand", "dissect(q,100000000,0)", "-N", "10")
+        assert (code, out) == (2, "")
+        assert "above the budget" in capsys.readouterr().err
+        assert calls == []
 
     def test_parse_error_exits_2(self, capsys):
         code, _ = run_cli("expand", "dissect(", "-N", "4")
@@ -216,12 +235,8 @@ class TestScans:
         (("--period", "5", "--prefix", "-3"), "prefix must be in [0, 300)"),
         (("--period", "5", "--prefix", "300"), "prefix must be in [0, 300)"),
     ])
-    def test_bad_period_arguments_build_nothing(self, monkeypatch, capsys, flags, message):
-        calls = []
-        for name in ("mul_trunc", "invert_trunc", "binomial_update"):
-            kernel = getattr(_backend, name)
-            monkeypatch.setattr(_backend, name,
-                                lambda *args, k=kernel: calls.append(1) or k(*args))
+    def test_bad_period_arguments_build_nothing(self, count_kernel_calls, capsys, flags, message):
+        calls = count_kernel_calls()
         # an expression no other test evaluates, so nothing is cached
         code, out = run_cli("period-check", "--expr", "poch(3,11)*poch(6,13)/poch(2,9)",
                             "--max-n", "300", *flags)

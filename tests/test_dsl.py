@@ -1,7 +1,7 @@
 """Identity DSL: parsing, unparsing, evaluation, manifests."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrseries import dsl
@@ -30,6 +30,7 @@ from rrseries.dsl import (
     unparse,
 )
 from rrseries.errors import (
+    BudgetExceeded,
     EvaluationError,
     ManifestError,
     ParseError,
@@ -271,6 +272,108 @@ class TestEvaluate:
         s = evaluate(parse("dissect(f1, 5, 4)"), 11)
         f1 = evaluate(parse("f1"), 60)
         assert s.coeffs == tuple(f1[5 * n + 4] for n in range(11))
+
+
+def evaluate_fresh(tree, order, modulus=None):
+    """``evaluate`` on an empty cache, so no other entry can serve it; the
+    result, or the message of the EvaluationError it raised."""
+    dsl.clear_cache()
+    try:
+        return evaluate(tree, order, modulus)
+    except EvaluationError as exc:
+        return str(exc)
+    finally:
+        dsl.clear_cache()
+
+
+def needed_order(node, order):
+    """The highest order evaluating ``node`` to ``order`` asks of any node."""
+    if isinstance(node, Dissect):
+        return needed_order(node.child, node.t * order)
+    if isinstance(node, Dilate):
+        return max(order, needed_order(node.child, -(-order // node.t)))
+    children = [getattr(node, name) for name in ("left", "right", "child", "base")
+                if hasattr(node, name)]
+    return max([order] + [needed_order(child, order) for child in children])
+
+
+MODULI = (2, 3, 4, 8, 15, 30)
+
+
+class TestEvaluateModM:
+    """Evaluation in Z/mZ against the exact value reduced afterwards."""
+
+    @given(expressions, st.sampled_from(MODULI))
+    # denominators whose exact constant term is a non-unit that is a unit mod m
+    @example(Div(IntLit(1), Add(IntLit(3), Q())), 4)
+    @example(Pow(Sub(IntLit(5), Q()), -2), 3)
+    @example(Div(F(1), Mul(IntLit(3), F(2))), 8)
+    @example(Pow(Add(IntLit(14), Poch(1, 5)), -1), 15)
+    # negation maps the residue m/2 outside (-m/2, m/2]
+    @example(NegQ(Mul(IntLit(2), F(1))), 4)
+    @example(Neg(Q()), 2)
+    @settings(max_examples=100, deadline=None)
+    def test_random_trees_match_exact_reduced(self, tree, m):
+        # nested dissections multiply the order; keep each example cheap
+        assume(needed_order(tree, 9) <= 2000)
+        exact = evaluate_fresh(tree, 9)
+        residues = evaluate_fresh(tree, 9, m)
+        if isinstance(exact, str):
+            assert residues == exact  # the same EvaluationError
+        else:
+            assert residues == exact.residues(m)
+
+    def test_non_unit_denominator_is_refused_as_exactly(self):
+        message = "cannot divide: constant term 3 is not a unit in Z[[q]] in 3 + q (at denominator)"
+        assert evaluate_fresh(parse("1/(3+q)"), 5) == message
+        assert evaluate_fresh(parse("1/(3+q)"), 5, 4) == message
+
+    def test_exact_cache_serves_residues_without_kernel_calls(self, count_kernel_calls):
+        tree = parse("dissect(poch(2,7)*poch(5,7)/(poch(1,7)*poch(6,7))^3, 3, 1)")
+        dsl.clear_cache()
+        exact = evaluate(tree, 120)
+        calls = count_kernel_calls()
+        for m in MODULI:
+            assert evaluate(tree, 100, m) == exact.truncate(100).residues(m)
+        assert calls == []
+
+    def test_residues_are_cached_per_modulus(self, count_kernel_calls):
+        tree = parse("(poch(3,8)*poch(5,8))^-4")
+        dsl.clear_cache()
+        first = evaluate(tree, 200, 4)
+        calls = count_kernel_calls()
+        assert evaluate(tree, 150, 4) == first.truncate(150)
+        assert calls == []
+        assert evaluate(tree, 150, 8) == evaluate_fresh(tree, 150).residues(8)
+
+    def test_invalid_modulus(self):
+        for m in (1, 0, -4, 2.5):
+            with pytest.raises(RRSeriesError):
+                evaluate(parse("f1"), 5, m)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("text, order", [
+        ("dissect(q,100000000,0)", 10),
+        ("f1 + dissect(f2*f3, 100000, 2)", 11),
+        ("dilate(dissect(q, 1000, 0), 2) * f1", 2001),
+        ("q", dsl.MAX_ORDER + 1),
+        ("(1+q)^1000001", 5),
+        ("f1*(2+q)^-1000001", 5),
+    ])
+    def test_refused_before_any_kernel_call(self, count_kernel_calls, text, order):
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        with pytest.raises(BudgetExceeded):
+            evaluate(parse(text), order)
+        assert calls == []
+
+    def test_limits_sit_above_the_orders_in_use(self):
+        # the deepest manifest evaluation: period 16 at -N 500
+        assert dsl.MAX_ORDER >= 16 * 500 and dsl.MAX_ORDER >= 20000
+        assert evaluate(parse("dilate(dissect(q, 1000, 0), 2)"), 1000).order == 1000
+        big = evaluate(parse("dilate(q, 1000000000)"), 10)
+        assert big == Series.zero(10)
 
 
 class TestManifest:

@@ -155,3 +155,49 @@ def test_active_backend_is_declared():
     assert _backend.mul_trunc is _kernels_py.mul_trunc
     assert _backend.invert_trunc is _kernels_py.invert_trunc
     assert _backend.binomial_update is _kernels_py.binomial_update
+
+
+class TestInvertPaths:
+    def test_steep_growth_takes_the_recurrence(self, monkeypatch):
+        # inverses growing by 10, 2.3 and about 10 bits per term
+        rng = random.Random(47)
+        n = 300
+        dense = [-1] + [rng.randrange(-999, 1000) for _ in range(n - 1)]
+        for a in ([1, -1000], [1, -3, -5], dense):
+            a = a + [0] * (n - len(a))
+            assert _kernels_py._grows_steeply(_kernels_py._invert_recurrence(a, 38))
+            products = []
+            mul = _kernels_py.mul_trunc
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels_py, "mul_trunc",
+                              lambda *args: products.append(1) or mul(*args))
+                chosen = _kernels_py.invert_trunc(a, n)
+                assert products == []
+                patch.setattr(_kernels_py, "STEEP_BITS", 10**9)
+                newton = _kernels_py.invert_trunc(a, n)
+                assert products
+            assert chosen == newton == recurrence_inverse(a, n)
+
+    def test_slow_growth_keeps_newton(self):
+        # coefficients in {-1, 0, 1}: every root has |q| > 1/2, so the inverse
+        # grows by under one bit per term
+        rng = random.Random(53)
+        a = [1] + [rng.choice((-1, 0, 1)) for _ in range(499)]
+        assert not _kernels_py._grows_steeply(_kernels_py._invert_recurrence(a, 63))
+
+    def test_invert_mod_m_is_exact_reduced(self):
+        rng = random.Random(59)
+        for n in (1, INV - 1, INV + 1, 4 * INV + 3):
+            for bits in (2, 64):
+                a = [rng.choice((1, -1))] + mixed_coeffs(rng, n - 1, bits)
+                exact = _kernels_py.invert_trunc(a, n)
+                for m in (2, 3, 4, 15, 1 << 70):
+                    residues = _kernels_py.balanced(a, m)
+                    got = _kernels_py.invert_trunc(residues, n, modulus=m)
+                    assert got == _kernels_py.balanced(exact, m), (n, bits, m)
+                    assert all(-m // 2 < c <= m // 2 for c in got)
+
+    def test_balanced_range(self):
+        assert _kernels_py.balanced(range(-4, 5), 4) == [0, 1, 2, -1, 0, 1, 2, -1, 0]
+        assert _kernels_py.balanced(range(-2, 3), 2) == [0, 1, 0, 1, 0]
+        assert _kernels_py.balanced(range(-2, 3), 3) == [1, -1, 0, 1, -1]

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from rrseries import cli, verify
-from rrseries.dsl import parse, parse_record
+from rrseries import catalog, cli, dsl, verify
+from rrseries.dsl import evaluate, load_manifest, parse, parse_record
 from rrseries.report import reports_to_json, reports_to_text
 from rrseries.series import Series
 from rrseries.verify import ScanSpec, period_check, scan, verify_identity
@@ -49,6 +49,54 @@ class TestVerifyIdentity:
         report = verify_identity(rec, 10)
         assert report.status == "fail"
         assert "error" in report.detail
+
+
+class TestCongruencesModM:
+    """(mod m) records and divisibility scans run in Z/mZ; they must agree
+    with the exact evaluation reduced afterwards, and fail with its report."""
+
+    def test_manifest_congruences_match_exact_reduced(self):
+        records = [r for r in load_manifest(verify.default_manifest_path()) if r.is_congruence]
+        assert len(records) == 24
+        order = 200
+        dsl.clear_cache()
+        residues = [(evaluate(r.lhs, order, r.modulus), evaluate(r.rhs, order, r.modulus))
+                    for r in records]
+        dsl.clear_cache()
+        for record, (lhs, rhs) in zip(records, residues):
+            m = record.modulus
+            assert lhs == evaluate(record.lhs, order).residues(m), record.name
+            assert rhs == evaluate(record.rhs, order).residues(m), record.name
+            assert (lhs - rhs).residues(m).is_zero(), record.name
+
+    def test_false_congruence_reports_the_exact_difference(self):
+        record = parse_record(
+            "[a16n13-false] (mod 4) : dissect(1/R(q)^5, 16, 13) == 2*f1*f5*f4^3"
+            " + 2*q*f2*f10^4 + 2*q^2*f1*f5*f20^3 - 2*f8*f10 + q^7 @ perturbed")
+        order = 40
+        dsl.clear_cache()
+        report = verify_identity(record, order)
+        dsl.clear_cache()
+        # the exact path: the unreduced difference at the first index not 0 mod 4
+        difference = (evaluate(record.lhs, order) - evaluate(record.rhs, order)).coeffs
+        n = next(n for n, d in enumerate(difference) if d % 4)
+        assert n == 7 and abs(difference[n]) > 4
+        assert (report.status, report.certified_order, report.first_violation, report.detail) == (
+            "fail", order, (n, difference[n]), {})
+
+    def test_failing_divisibility_scan_reports_the_exact_coefficient(self):
+        spec = ScanSpec(name="x", target="A", period=16, residue=13, divisor=8, max_n=400)
+        dsl.clear_cache()
+        report = scan(spec)
+        a = catalog.named_series("A", 400)
+        n = next(n for n in range(13, 400, 16) if a[n] % 8)
+        assert (report.status, report.first_violation) == ("fail", (n, a[n]))
+        assert abs(a[n]) > 8
+
+    def test_evaluation_error_in_congruence_is_a_diagnostic(self):
+        report = verify_identity(parse_record("[x] (mod 4) : 1/(3+q) == 3 - q @ x"), 10)
+        assert report.status == "fail"
+        assert "constant term 3 is not a unit" in report.detail["error"]
 
 
 class TestScan:
