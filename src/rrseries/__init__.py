@@ -2,13 +2,14 @@
 
 Core value type: :class:`~rrseries.series.Series`, dense integer
 coefficients with explicit truncation order.  On top of it sit the
-classical q-objects (Pochhammer products, theta functions, eta
-quotients), the catalog of series built from the Rogers-Ramanujan
-continued fraction, a small identity DSL with a file manifest format,
-sign/congruence scanners, and an independent partition-counting oracle.
+classical q-objects (Pochhammer products, theta functions), the catalog
+of series built from the Rogers-Ramanujan continued fraction, a small
+identity DSL with a file manifest format whose products are evaluated
+as sparse theta quotients, sign/congruence scanners, and an independent
+partition-counting oracle.
 """
 
-from .catalog import f_mrs, linking_relations, named_series, np_dp_polynomials, parent_order
+from .catalog import f_mrs, linking_relations, named_series
 from .dsl import IdentityRecord, evaluate, load_manifest, parse, unparse
 from .errors import (
     EvaluationError,
@@ -24,11 +25,8 @@ from .errors import (
 )
 from .partitions import PartConstraint, check_alpha_beta, count, count_tuples
 from .qfunctions import (
-    EtaQuotientSpec,
     ThetaSpec,
     chi,
-    chi_neg,
-    eta_quotient,
     euler_f,
     phi,
     pochhammer_fin,

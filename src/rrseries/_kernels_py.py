@@ -1,9 +1,12 @@
 """Pure-Python series kernels.
 
-The three hot loops: truncated multiplication, truncated inversion, and
-the in-place sparse binomial update used by finite Pochhammer products.
-Callers reach them through ``_backend``.  All coefficients are Python
-ints, so the kernels are exact at any size.
+Dense kernels: truncated multiplication, truncated inversion, and the
+in-place sparse binomial update used by finite Pochhammer products.
+Sparse kernels: a power, a product and a quotient by a series given by
+its few nonzero terms, such as a theta function f(+-q^r, +-q^s), which
+has about 2*sqrt(2N/(r+s)) nonzero terms below q^N.  Callers reach them
+through ``_backend``.  All coefficients are Python ints, so the kernels
+are exact at any size.
 
 - ``mul_trunc`` uses Kronecker substitution: both operands are packed
   into one integer each, with one fixed-width slot per coefficient, and
@@ -25,7 +28,27 @@ Both give the same integers as the schoolbook loops ``_mul_schoolbook``
 and ``_invert_recurrence``, which stay as the small-size paths.  The
 cutoffs are crossover points measured on 64-bit CPython 3.11 with
 coefficients of 1 to 200 bits.
+
+The sparse kernels take a series P = 1 + sum c*q^j as its ``terms``, the
+pairs (j, c) with j >= 1 in increasing order, and cost O(n * nnz):
+
+- ``sparse_power`` raises P to an integer power alpha by J.C.P. Miller's
+  recurrence n*Y[n] = sum_j ((alpha+1)*j - n) * c_j * Y[n-j] (Knuth,
+  TAOCP vol. 2, section 4.7), exactly: the division by n is exact only
+  over the integers.
+- ``sparse_mul`` adds one shifted copy of the operand per term, each as
+  one slice operation, so no loop runs per coefficient in Python.
+- ``sparse_div`` runs the recurrence Y[n] = A[n] - sum_j c_j * Y[n-j].
+
+The two recurrences run in blocks of ``SPARSE_BLOCK`` coefficients: the
+terms reaching back before a block are added to the whole block by slice
+operations, so only the terms with j below the block size are summed one
+coefficient at a time.  They run on exact coefficients only: in Z/mZ
+a dense product of small residues is cheaper than a sparse step.
 """
+
+import itertools
+from operator import add, mul, sub
 
 # Shorter operand length from which Kronecker substitution beats the
 # schoolbook loop.
@@ -33,6 +56,12 @@ MUL_CUTOFF = 32
 
 # Order up to which the recurrence beats Newton iteration.
 INV_CUTOFF = 64
+
+# Block length of the sparse recurrences.  At order 3000 on 2 vCPUs with
+# CPython 3.11, f(-q,-q^4)^-5 takes 69, 44, 37 and 36 ms with blocks of
+# 32, 64, 128 and 256, and one division by f(-q^2,-q^3) 26, 21, 20 and
+# 21 ms; without blocks the power takes 47 ms.
+SPARSE_BLOCK = 128
 
 # Growth of the inverse, in bits per term, from which the recurrence beats
 # Newton iteration at every order.  At order 2000 on a 2-vCPU host with
@@ -183,3 +212,77 @@ def binomial_update(c, e, coef, n):
         lo = c[i - e]
         if lo:
             c[i] += coef * lo
+
+
+def sparse_mul(a, terms, n):
+    """First ``n`` coefficients of ``a`` * (1 + sum c*q^j over ``terms``)."""
+    a = list(a[:n]) + [0] * (n - len(a))
+    out = list(a)
+    for j, c in terms:
+        if j >= n:
+            break
+        if c == 1:
+            out[j:] = map(add, out[j:], a[:n - j])
+        elif c == -1:
+            out[j:] = map(sub, out[j:], a[:n - j])
+        else:
+            out[j:] = map(add, out[j:], map(mul, a[:n - j], itertools.repeat(c)))
+    return out
+
+
+def sparse_div(a, terms, n):
+    """First ``n`` coefficients of ``a`` / (1 + sum c*q^j over ``terms``)."""
+    out = list(a[:n]) + [0] * (n - len(a))
+    near = [(j, c) for j, c in terms if j < SPARSE_BLOCK]
+    for start in range(0, n, SPARSE_BLOCK):
+        end = min(start + SPARSE_BLOCK, n)
+        # terms reaching back before the block, one slice each
+        for j, c in terms:
+            if j >= end or not start:
+                break
+            lo, hi = max(start, j), min(end, start + j)
+            if c == 1:
+                out[lo:hi] = map(sub, out[lo:hi], out[lo - j:hi - j])
+            elif c == -1:
+                out[lo:hi] = map(add, out[lo:hi], out[lo - j:hi - j])
+            else:
+                out[lo:hi] = map(sub, out[lo:hi],
+                                 map(mul, out[lo - j:hi - j], itertools.repeat(c)))
+        # terms inside the block, one coefficient at a time
+        for i in range(start, end):
+            acc = out[i]
+            for j, c in near:
+                if j > i - start:
+                    break
+                acc -= c * out[i - j]
+            out[i] = acc
+    return out
+
+
+def sparse_power(terms, alpha, n):
+    """First ``n`` coefficients of (1 + sum c*q^j over ``terms``)^``alpha``,
+    for any int ``alpha``, by Miller's recurrence."""
+    y = [1] + [0] * (n - 1)
+    a1 = alpha + 1
+    # (j, c, c*(alpha+1)*j): the weight of term j at index i is c*((alpha+1)*j - i)
+    near = [(j, c, c * a1 * j) for j, c in terms if j < SPARSE_BLOCK]
+    for start in range(0, n, SPARSE_BLOCK):
+        end = min(start + SPARSE_BLOCK, n)
+        # terms reaching back before the block, one slice each; the weights
+        # of one term over consecutive indices form a range
+        for j, c in terms:
+            if j >= end or not start:
+                break
+            lo, hi = max(start, j), min(end, start + j)
+            w = c * (a1 * j - lo)
+            y[lo:hi] = map(add, y[lo:hi], map(mul, range(w, w - c * (hi - lo), -c),
+                                               y[lo - j:hi - j]))
+        # terms inside the block, one coefficient at a time
+        for i in range(max(start, 1), end):
+            acc = y[i]
+            for j, c, w in near:
+                if j > i - start:
+                    break
+                acc += (w - c * i) * y[i - j]
+            y[i] = acc // i
+    return y

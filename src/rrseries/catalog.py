@@ -3,16 +3,18 @@
 Every tag is an expression of the identity DSL (``DEFINITIONS``), parsed
 once and evaluated by :func:`rrseries.dsl.evaluate`, so the catalog uses
 the evaluator's one cache and aliases share one entry.  Everything is
-built from Pochhammer products (never from continued fraction
+built from infinite products (never from continued fraction
 convergents): G and H are the Rogers-Ramanujan products, R = H/G is the
 normalized continued fraction, and the derived families are
 
     A = 1/R^5(q),   B = R^5(q),   C = R^5(q)/R(q^5),   D = R(q^5)/R^5(q),
     c = 1/R,        d = R,        b25 = f_25/f_1,      Fcolored = f_25 R(q^5)/f_1.
 
-The quartic combinations ``np_dp_polynomials`` and the general
-four-Pochhammer quotient F_{m,r,s} live here too, plus the seven
-coefficient-level linking relations tying A, B, C, D together.
+The evaluator builds each of them as a quotient of theta functions, for
+example A = (f(-q^2,-q^3)/f(-q,-q^4))^5.  The quartic combinations
+Npoly and Dpoly in x = q*R(q^5) and the general four-Pochhammer quotient
+F_{m,r,s} live here too, plus the seven coefficient-level linking
+relations tying A, B, C, D together.
 """
 
 import time
@@ -52,17 +54,6 @@ _NODES = {tag: dsl.parse(text) for tag, text in DEFINITIONS.items()}
 CONJECTURAL_SIGNS = {("D", 5, 1): "+"}
 
 
-def parent_order(order, t, j=None):
-    """Order a parent series must have so its t-dissection certifies ``order``.
-
-    Residue j needs t*(order-1) + j + 1 coefficients; without a specific
-    residue the bound for the worst one (j = t-1) is t*order.
-    """
-    if j is None:
-        return t * order
-    return t * (order - 1) + j + 1
-
-
 def named_series(tag, order, modulus=None):
     """Catalog lookup: the series ``tag`` truncated to ``order`` (mod ``modulus``)."""
     if tag not in _NODES:
@@ -73,11 +64,6 @@ def named_series(tag, order, modulus=None):
 def clear_cache():
     """Empty the evaluator's cache, which holds the catalog's series too."""
     dsl.clear_cache()
-
-
-def np_dp_polynomials(order):
-    """The two quartic-in-R(q^5) combinations (numerator, denominator)."""
-    return named_series("Npoly", order), named_series("Dpoly", order)
 
 
 def f_mrs(m, r, s, order):

@@ -1,8 +1,11 @@
 """Constructors for the classical q-objects.
 
 Pochhammer products (q^a; q^m)_inf and their finite versions, Euler
-products f_k = (q^k; q^k)_inf, eta quotients, and Ramanujan's theta
-function f(a, b) with its named specializations phi, psi, chi.
+products f_k = (q^k; q^k)_inf, and Ramanujan's theta function f(a, b)
+with its named specializations phi, psi, chi.  A :class:`ThetaSpec`
+with both exponents >= 1 is a base of the evaluator's theta quotients:
+``theta_terms`` gives its few nonzero terms, and its ``dilate`` and
+``negate_q`` follow the substitutions q -> q^t and q -> -q.
 
 Infinite Pochhammer products are summed by Euler's identity
 (x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k, which needs about
@@ -129,35 +132,6 @@ def euler_f(k, order):
 
 
 @dataclass(frozen=True)
-class EtaQuotientSpec:
-    """Product prod f_k^e over ``factors``; duplicate k merged by summing e."""
-
-    factors: tuple
-
-    def __init__(self, factors):
-        merged = {}
-        for k, e in factors:
-            if k < 1:
-                raise ValueError(f"f_{k} is not defined; k must be >= 1")
-            merged[k] = merged.get(k, 0) + e
-        items = tuple(sorted((k, e) for k, e in merged.items() if e != 0))
-        object.__setattr__(self, "factors", items)
-
-
-def eta_quotient(spec, order):
-    """Evaluate an :class:`EtaQuotientSpec` as a truncated series."""
-    num = Series.one(order)
-    den = Series.one(order)
-    for k, e in spec.factors:
-        fk = euler_f(k, order)
-        if e > 0:
-            num = num * fk**e
-        else:
-            den = den * fk ** (-e)
-    return num * den.invert()
-
-
-@dataclass(frozen=True)
 class ThetaSpec:
     """f(sign_a * q^r, sign_b * q^s) with monomial arguments only."""
 
@@ -174,15 +148,32 @@ class ThetaSpec:
         if self.r + self.s < 1:
             raise InvalidTheta("f(a, b) needs r + s >= 1")
 
+    def dilate(self, t):
+        """The spec of f(a, b) at q -> q^t."""
+        return ThetaSpec(self.sign_a, self.r * t, self.sign_b, self.s * t)
 
-def theta_general(spec, order):
-    """Bilateral sum form: sum_k a^(k(k+1)/2) * b^(k(k-1)/2), truncated.
+    def negate_q(self):
+        """The spec of f(a, b) at q -> -q: a sign flips where its exponent is odd."""
+        return ThetaSpec(self.sign_a * (-1) ** self.r, self.r,
+                         self.sign_b * (-1) ** self.s, self.s)
+
+    def canonical(self):
+        """The same function with its arguments in a fixed order: f(a, b) = f(b, a)."""
+        if (self.s, self.sign_b) < (self.r, self.sign_a):
+            return ThetaSpec(self.sign_b, self.s, self.sign_a, self.r)
+        return self
+
+
+def theta_terms(spec, order):
+    """The nonzero terms (exponent, coefficient) of f(a, b) below q^order,
+    by increasing exponent: the bilateral sum sum_k a^(k(k+1)/2) * b^(k(k-1)/2).
 
     With a = sign_a q^r and b = sign_b q^s the k-th term has exponent
     r*k(k+1)/2 + s*k(k-1)/2 and sign sign_a^(k(k+1)/2) * sign_b^(k(k-1)/2).
-    Both k directions terminate because r + s >= 1.
+    Both k directions terminate because r + s >= 1.  With r, s >= 1 only
+    k = 0 reaches q^0, so the first term is (0, 1).
     """
-    c = [0] * order
+    c = {}
     for step in (1, -1):
         k = 0 if step == 1 else -1
         while True:
@@ -192,8 +183,16 @@ def theta_general(spec, order):
             if e >= order:
                 break
             sign = (spec.sign_a if ta % 2 else 1) * (spec.sign_b if tb % 2 else 1)
-            c[e] += sign
+            c[e] = c.get(e, 0) + sign
             k += step
+    return sorted((e, v) for e, v in c.items() if v)
+
+
+def theta_general(spec, order):
+    """f(a, b) truncated, from the bilateral sum of ``theta_terms``."""
+    c = [0] * order
+    for e, v in theta_terms(spec, order):
+        c[e] = v
     return Series(c)
 
 
@@ -221,8 +220,3 @@ def psi(order):
 def chi(order):
     """chi(q) = (-q; q^2)_inf."""
     return signed_pochhammer_inf(-1, 1, 1, 2, order)
-
-
-def chi_neg(order):
-    """chi(-q) = (q; q^2)_inf."""
-    return pochhammer_inf(1, 2, order)

@@ -54,10 +54,6 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order):
-        return cls([0] * order)
-
-    @classmethod
     def one(cls, order):
         return cls([1] + [0] * (order - 1))
 

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 
 from . import catalog, dsl, partitions
-from .errors import RRSeriesError
+from .errors import BudgetExceeded, RRSeriesError
 from .report import first_violation, make_report
 from .series import Series
 
@@ -66,12 +66,16 @@ def verify_identity(record, order):
     evaluated in Z/mZ and pass when every residue of the difference is 0;
     only a violation evaluates both sides exactly, to its index, so the
     report shows the unreduced difference.  Evaluation errors become a fail
-    report carrying the diagnostic.
+    report carrying the diagnostic, except :class:`BudgetExceeded`, which
+    propagates: the run stops with the budget's message before it builds
+    anything, instead of reporting every record as failing at n = 0.
     """
     start = time.perf_counter()
     try:
         lhs = dsl.evaluate(record.lhs, order, record.modulus)
         rhs = dsl.evaluate(record.rhs, order, record.modulus)
+    except BudgetExceeded:
+        raise
     except RRSeriesError as exc:
         return make_report(record.name, (0, 0), 0, start, detail={"error": str(exc)})
     difference = (lhs - rhs).coeffs

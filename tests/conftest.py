@@ -12,7 +12,8 @@ def count_kernel_calls(monkeypatch):
 
     def start():
         calls = []
-        for name in ("mul_trunc", "invert_trunc", "binomial_update"):
+        for name in ("mul_trunc", "invert_trunc", "binomial_update",
+                     "sparse_power", "sparse_mul", "sparse_div"):
             kernel = getattr(_backend, name)
 
             def counted(*args, _name=name, _kernel=kernel, **kwargs):

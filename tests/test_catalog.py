@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
-from rrseries import catalog, dsl, partitions
-from rrseries.catalog import f_mrs, linking_relations, named_series, np_dp_polynomials, parent_order
+from rrseries import catalog, dsl, partitions, qfunctions
+from rrseries.catalog import f_mrs, linking_relations, named_series
 from rrseries.errors import SpecOutOfRange
 from rrseries.qfunctions import euler_f
 
@@ -99,6 +99,33 @@ class TestNamedSeries:
         assert named_series("d", 77) == named_series("R", 77)
         assert calls == []
 
+    def test_trees_of_one_product_share_one_entry(self, count_kernel_calls):
+        # the manifest's 1/R(q)^5 and the catalog's R(q)^-5 lower to one Product
+        catalog.clear_cache()
+        a = named_series("A", 400)
+        calls = count_kernel_calls()
+        assert dsl.evaluate(dsl.parse("1/R(q)^5"), 400) == a
+        assert dsl.evaluate(dsl.parse("(poch(2,5)*poch(3,5)/(poch(1,5)*poch(4,5)))^5"), 300) \
+            == a.truncate(300)
+        assert calls == []
+
+    def test_paper_families_build_without_dense_inversion(self, count_kernel_calls,
+                                                          monkeypatch):
+        # A, B, C, D, c and d are theta quotients: one Miller power each and
+        # sparse steps, with no Newton inversion and no Euler-sum Pochhammer
+        catalog.clear_cache()
+        sums = []
+        pochhammer_inf = qfunctions.pochhammer_inf
+        monkeypatch.setattr(qfunctions, "pochhammer_inf",
+                            lambda *args: sums.append(args) or pochhammer_inf(*args))
+        calls = count_kernel_calls()
+        for tag in ("A", "B", "C", "D", "c", "d"):
+            assert named_series(tag, 3000).order == 3000
+        assert calls.count("invert_trunc") == 0
+        assert sums == []
+        assert "sparse_power" in calls and "sparse_mul" in calls
+        catalog.clear_cache()
+
     def test_concurrent_reads(self, count_kernel_calls):
         node = dsl.parse("H(q^2)/G(q^3)")  # evaluated by no other test
         orders = [90 - i for i in range(12)]  # longest first, similar costs
@@ -134,7 +161,7 @@ class TestRelations:
         assert gh == expected
 
     def test_np_dp_constant_terms(self):
-        npoly, dpoly = np_dp_polynomials(10)
+        npoly, dpoly = named_series("Npoly", 10), named_series("Dpoly", 10)
         assert npoly[0] == 1 and dpoly[0] == 1
 
     @staticmethod
@@ -143,7 +170,7 @@ class TestRelations:
 
     def test_np_dp_product_and_quotient(self):
         order = 120
-        npoly, dpoly = np_dp_polynomials(order)
+        npoly, dpoly = named_series("Npoly", order), named_series("Dpoly", order)
         f1, f5, f25 = (euler_f(k, order) for k in (1, 5, 25))
         r5 = self._r_of_q5(order)
         lhs = npoly * dpoly * f1 * f25**5
@@ -153,7 +180,7 @@ class TestRelations:
 
     def test_quintic_modular_equation(self):
         order = 500
-        npoly, dpoly = np_dp_polynomials(order)
+        npoly, dpoly = named_series("Npoly", order), named_series("Dpoly", order)
         r5 = self._r_of_q5(order)
         lhs = named_series("R", order) ** 5 * dpoly
         rhs = r5 * npoly
@@ -193,17 +220,3 @@ class TestLinking:
         report = linking_relations(100)[0]
         assert report.first_violation is None
         assert report.certified_order > 0
-
-
-class TestParentOrder:
-    def test_worst_residue(self):
-        assert parent_order(100, 5) == 500
-
-    def test_specific_residue(self):
-        assert parent_order(100, 5, 2) == 5 * 99 + 3
-
-    def test_round_trip_through_dissect(self):
-        from rrseries.series import Series
-
-        s = Series(range(parent_order(20, 3, 1)))
-        assert s.dissect(3, 1).order == 20

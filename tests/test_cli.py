@@ -190,6 +190,16 @@ class TestVerify:
         assert payload[0]["certified_order"] == 50
 
 
+    @pytest.mark.parametrize("command", ["verify", "paper-suite"])
+    def test_order_budget_exits_2_before_building(self, count_kernel_calls, capsys, command):
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        code, out = run_cli(command, "-N", "2000000")
+        assert (code, out) == (2, "")
+        assert "needs order 2000000, above the budget of 1000000" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestScans:
     def test_sign_scan(self):
         code, out = run_cli("scan", "--series", "A", "--period", "5",

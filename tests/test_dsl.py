@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rrseries import dsl
+from rrseries import dsl, qfunctions
 from rrseries.dsl import (
     Add,
     Dilate,
@@ -33,6 +33,7 @@ from rrseries.errors import (
     BudgetExceeded,
     EvaluationError,
     ManifestError,
+    NonUnitConstantTerm,
     ParseError,
     RRSeriesError,
     UnknownSymbol,
@@ -238,7 +239,7 @@ class TestUnparse:
 
 class TestEvaluate:
     def test_zero(self):
-        assert evaluate(parse("0"), 5) == Series.zero(5)
+        assert evaluate(parse("0"), 5) == Series([0] * 5)
 
     def test_gh_equals_eta_quotient(self):
         assert evaluate(parse("G(q)*H(q)"), 50) == evaluate(parse("f5/f1"), 50)
@@ -352,6 +353,157 @@ class TestEvaluateModM:
                 evaluate(parse("f1"), 5, m)
 
 
+def dense_oracle(node, order, path=()):
+    """Test-local dense evaluator of a product tree: the qfunctions
+    constructors with Series *, invert and **, in the evaluator's order of
+    evaluation, raising the evaluator's EvaluationError for a non-unit
+    denominator."""
+
+    def inverse(child, value, where, verb):
+        try:
+            return value.invert()
+        except NonUnitConstantTerm as exc:
+            raise EvaluationError(
+                f"cannot {verb}: {exc} in {unparse(child)} (at {'/'.join(where)})") from exc
+
+    def dilated(value, t):
+        coeffs = list(value.dilate(t).coeffs)[:order]
+        return Series(coeffs + [0] * (order - len(coeffs)))
+
+    if isinstance(node, IntLit):
+        return Series.constant(node.value, order)
+    if isinstance(node, Q):
+        return Series.monomial(1, 1, order)
+    if isinstance(node, F):
+        return qfunctions.euler_f(node.k, order)
+    if isinstance(node, Poch):
+        return qfunctions.pochhammer_inf(node.a, node.m, order)
+    if isinstance(node, Theta):
+        return qfunctions.theta_product(
+            qfunctions.ThetaSpec(node.sign_a, node.r, node.sign_b, node.s), order)
+    if isinstance(node, Fun):
+        inner = -(-order // node.t)
+        if node.name in ("phi", "psi", "chi"):
+            value = getattr(qfunctions, node.name)(inner)
+        else:
+            g = (qfunctions.pochhammer_inf(1, 5, inner)
+                 * qfunctions.pochhammer_inf(4, 5, inner)).invert()
+            h = (qfunctions.pochhammer_inf(2, 5, inner)
+                 * qfunctions.pochhammer_inf(3, 5, inner)).invert()
+            value = {"G": g, "H": h, "R": h * g.invert()}[node.name]
+        return dilated(value.negate_q() if node.neg else value, node.t)
+    if isinstance(node, Mul):
+        return dense_oracle(node.left, order, path + ("left",)) * dense_oracle(
+            node.right, order, path + ("right",))
+    if isinstance(node, Div):
+        where = path + ("denominator",)
+        inv = inverse(node.right, dense_oracle(node.right, order, where), where, "divide")
+        return dense_oracle(node.left, order, path + ("numerator",)) * inv
+    if isinstance(node, Pow):
+        where = path + ("base",)
+        base = dense_oracle(node.base, order, where)
+        if node.exponent < 0:
+            return inverse(node.base, base, where, f"raise to {node.exponent}") ** -node.exponent
+        return base ** node.exponent
+    if isinstance(node, Neg):
+        return -dense_oracle(node.child, order, path + ("child",))
+    if isinstance(node, NegQ):
+        return dense_oracle(node.child, order, path + ("child",)).negate_q()
+    if isinstance(node, Dilate):
+        return dilated(dense_oracle(node.child, -(-order // node.t), path + ("child",)), node.t)
+    raise TypeError(f"not a product node: {node!r}")
+
+
+@st.composite
+def pochhammer_atoms(draw):
+    """poch(a,m), unpaired or with its partner poch(m-a,m); a = m and
+    2a = m included."""
+    m = draw(st.integers(2, 9))
+    a = draw(st.integers(1, m))
+    if a < m and draw(st.booleans()):
+        return Mul(Poch(a, m), Poch(m - a, m))
+    return Poch(a, m)
+
+
+product_atoms = st.one_of(
+    st.integers(1, 6).map(F),
+    pochhammer_atoms(),
+    st.builds(Fun, st.sampled_from(dsl.FUN_NAMES), st.booleans(), st.integers(1, 3)),
+    st.builds(Theta, st.sampled_from([1, -1]), st.integers(0, 4),
+              st.sampled_from([1, -1]), st.integers(1, 4)),
+    # constants and q: non-unit denominators, and factors of c and q^k
+    st.integers(0, 3).map(IntLit),
+    st.just(Q()),
+)
+
+product_trees = st.recursive(
+    product_atoms,
+    lambda children: st.one_of(
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-7, 7)),
+        st.builds(Neg, children),
+        st.builds(NegQ, children),
+        st.builds(Dilate, children, st.integers(1, 3)),
+    ),
+    max_leaves=6,
+)
+
+
+def oracle_fresh(tree, order):
+    try:
+        return dense_oracle(tree, order)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+class TestThetaQuotientEngine:
+    """The sparse theta-quotient engine against a dense evaluator."""
+
+    @given(product_trees, st.sampled_from(MODULI))
+    @example(parse("R(q)^-5*R(q^2)^3/chi(-q)^7"), 4)
+    @example(parse("poch(1,5)^5*poch(4,5)^3*poch(1,7)^-2/poch(3,6)"), 15)
+    @example(parse("negq(poch(1,5)*poch(4,5))*dilate(G(-q)^-7,2)"), 8)
+    @example(parse("f1^7*f2^-7*f3^7/f4^7"), 30)
+    @example(parse("(2*q*f1)^-1"), 2)
+    @example(parse("theta(1,0,1,2)*f1/(q/q)"), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_random_products_match_dense_oracle(self, tree, m):
+        order = 30
+        expected = oracle_fresh(tree, order)
+        exact = evaluate_fresh(tree, order)
+        residues = evaluate_fresh(tree, order, m)
+        if isinstance(expected, str):
+            assert exact == residues == expected  # the same EvaluationError
+        else:
+            assert exact == expected
+            assert residues == expected.residues(m)
+
+    def test_lowering_rules(self):
+        f = qfunctions.ThetaSpec
+        t1, t2 = f(-1, 1, -1, 4), f(-1, 2, -1, 3)
+        assert dsl.lower(parse("1/R(q)^5")) == dsl.lower(parse("R(q)^-5")) == dsl.Product(
+            1, 0, ((t1, -5), (t2, 5)), ())
+        assert dsl.lower(parse("poch(1,5)*poch(4,5)")) == dsl.Product(
+            1, 0, ((t1, 1), (f(-1, 5, -1, 10), -1)), ())
+        # dilation scales exponents; negq flips the signs of odd ones
+        assert dsl.lower(parse("-3*q^2*negq(dilate(f1*q, 3))")) == dsl.Product(
+            3, 5, ((f(1, 3, -1, 6), 1),), ())
+        assert dsl.lower(parse("poch(1,7)^2*poch(6,7)^5")).pochs == (((6, 7), 3),)
+        for text in ("1 + q", "f1/(2*f1)", "1/q", "negq(poch(1,7))", "dilate(f1, 0)",
+                     "theta(1,0,1,1)*f1", "pochfin(1,2,3)*f1", "dissect(f1,2,0)"):
+            assert dsl.lower(parse(text)) is None, text
+
+    def test_huge_exponents_stay_cheap(self, count_kernel_calls):
+        # bases past MAX_SPARSE_STEPS get a Miller power and one dense product
+        dsl.clear_cache()
+        calls = count_kernel_calls()
+        value = evaluate(parse("(f1*f2^-1*f3)^100000"), 8)
+        assert calls.count("sparse_power") == 3 and len(calls) <= 6
+        assert value == dense_oracle(parse("f1^100000*f3^100000"), 8) * (
+            qfunctions.euler_f(2, 8) ** 100000).invert()
+
+
 class TestBudget:
     @pytest.mark.parametrize("text, order", [
         ("dissect(q,100000000,0)", 10),
@@ -373,7 +525,7 @@ class TestBudget:
         assert dsl.MAX_ORDER >= 16 * 500 and dsl.MAX_ORDER >= 20000
         assert evaluate(parse("dilate(dissect(q, 1000, 0), 2)"), 1000).order == 1000
         big = evaluate(parse("dilate(q, 1000000000)"), 10)
-        assert big == Series.zero(10)
+        assert big == Series([0] * 10)
 
 
 class TestManifest:

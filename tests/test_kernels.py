@@ -7,7 +7,11 @@ of each cutoff.
 
 import random
 
+import pytest
+
 from rrseries import _backend, _kernels_py
+from rrseries.qfunctions import ThetaSpec, theta_terms
+from rrseries.series import Series
 
 
 def random_coeffs(rng, size, bits=64):
@@ -155,6 +159,9 @@ def test_active_backend_is_declared():
     assert _backend.mul_trunc is _kernels_py.mul_trunc
     assert _backend.invert_trunc is _kernels_py.invert_trunc
     assert _backend.binomial_update is _kernels_py.binomial_update
+    assert _backend.sparse_power is _kernels_py.sparse_power
+    assert _backend.sparse_mul is _kernels_py.sparse_mul
+    assert _backend.sparse_div is _kernels_py.sparse_div
 
 
 class TestInvertPaths:
@@ -201,3 +208,64 @@ class TestInvertPaths:
         assert _kernels_py.balanced(range(-4, 5), 4) == [0, 1, 2, -1, 0, 1, 2, -1, 0]
         assert _kernels_py.balanced(range(-2, 3), 2) == [0, 1, 0, 1, 0]
         assert _kernels_py.balanced(range(-2, 3), 3) == [1, -1, 0, 1, -1]
+
+
+BLOCK = _kernels_py.SPARSE_BLOCK
+SPARSE_ORDERS = (1, 2, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 300)
+
+# Sparse bases: theta functions, some dilated, one with coefficients 2
+# (phi = f(q,q)) and one whose paired terms cancel (f(q,-q)), and a sparse
+# series with wide coefficients and terms on both sides of a block edge.
+SPARSE_BASES = {
+    "f(-q,-q^4)": ThetaSpec(-1, 1, -1, 4),
+    "f(-q^2,-q^3) at q^3": ThetaSpec(-1, 2, -1, 3).dilate(3),
+    "f_1 at -q": ThetaSpec(-1, 1, -1, 2).negate_q(),
+    "phi": ThetaSpec(1, 1, 1, 1),
+    "f(q,-q)": ThetaSpec(1, 1, -1, 1),
+    "f_5 at q^7": ThetaSpec(-1, 5, -1, 10).dilate(7),
+}
+
+
+def sparse_base(name, n):
+    """(terms, dense coefficients) of the base ``name`` below q^n."""
+    if name == "wide":
+        rng = random.Random(61)
+        terms = [(j, rng.choice((1, -1)) * rng.randrange(1, 1 << 20))
+                 for j in (1, 3, BLOCK - 1, BLOCK, BLOCK + 2, 2 * BLOCK + 5) if j < n]
+    else:
+        terms = theta_terms(SPARSE_BASES[name], n)
+        assert terms[0] == (0, 1)
+        terms = terms[1:]
+    dense = [1] + [0] * (n - 1)
+    for j, c in terms:
+        dense[j] = c
+    return terms, dense
+
+
+@pytest.mark.parametrize("name", [*SPARSE_BASES, "wide"])
+class TestSparseKernels:
+    """Miller's power, the sparse product and the sparse quotient against the
+    dense oracles: ``Series.__pow__``, ``_mul_schoolbook`` and
+    ``_invert_recurrence``, on both sides of each block edge."""
+
+    def test_power(self, name):
+        for n in SPARSE_ORDERS:
+            terms, dense = sparse_base(name, n)
+            for alpha in range(-7, 8):
+                if name == "wide" and n > 65 and abs(alpha) > 2:
+                    continue  # the oracle's squarings of wide series take seconds
+                expected = list((Series(dense) ** alpha).coeffs)
+                assert _kernels_py.sparse_power(terms, alpha, n) == expected, (n, alpha)
+
+    def test_mul_and_div(self, name):
+        rng = random.Random(67)
+        for n in SPARSE_ORDERS:
+            terms, dense = sparse_base(name, n)
+            inverse = _kernels_py._invert_recurrence(dense, n)
+            for length in (1, n // 2 + 1, n, n + 3):
+                a = mixed_coeffs(rng, length, rng.choice((1, 8, 200)))
+                product = _kernels_py._mul_schoolbook(a, dense, n)
+                quotient = _kernels_py._mul_schoolbook(a, inverse, n)
+                assert _kernels_py.sparse_mul(a, terms, n) == product, (n, length)
+                assert _kernels_py.sparse_div(a, terms, n) == quotient, (n, length)
+                assert _kernels_py.sparse_div(product, terms, n) == a[:n] + [0] * (n - length)

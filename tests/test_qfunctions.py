@@ -1,14 +1,13 @@
-"""q-object constructors: Pochhammer products, theta functions, eta quotients."""
+"""q-object constructors: Pochhammer products, theta functions, and eta
+quotients as DSL products."""
 
 import pytest
 
-from rrseries.errors import InvalidTheta
+from rrseries import dsl
+from rrseries.errors import InvalidTheta, ParseError
 from rrseries.qfunctions import (
-    EtaQuotientSpec,
     ThetaSpec,
     chi,
-    chi_neg,
-    eta_quotient,
     euler_f,
     phi,
     pochhammer_fin,
@@ -158,29 +157,32 @@ class TestTheta:
         assert phi(order) * f1 * f1 * f4 * f4 == f2**5
         assert psi(order) * f1 == f2 * f2
         assert chi(order) * f1 * f4 == f2 * f2
-        assert chi_neg(order) * f2 == f1
+        assert pochhammer_inf(1, 2, order) * f2 == f1
 
     def test_psi_three_dissection_residue_two_vanishes(self):
         assert psi(300).dissect(3, 2).is_zero()
 
 
 class TestEtaQuotient:
+    """Eta quotients prod f_k^e, written in the DSL: the evaluator lowers each
+    f_k to the theta base f(-q^k, -q^(2k)) and merges repeated bases."""
+
     def test_empty_spec(self):
-        assert eta_quotient(EtaQuotientSpec(()), 10) == Series.one(10)
+        assert dsl.lower(dsl.parse("f3^0")) == dsl.Product(1, 0, (), ())
+        assert dsl.evaluate(dsl.parse("f3^0"), 10) == Series.one(10)
 
     def test_duplicate_factors_merge(self):
-        spec = EtaQuotientSpec([(2, 3), (2, -1), (1, 0)])
-        assert spec.factors == ((2, 2),)
+        product = dsl.lower(dsl.parse("f2^3/f2*f1^0"))
+        assert product.thetas == ((ThetaSpec(-1, 2, -1, 4), 2),)
 
     def test_quintic_quotient(self):
         order = 40
-        spec = EtaQuotientSpec([(1, 6), (5, -6)])
         expected = euler_f(1, order) ** 6 * (euler_f(5, order) ** 6).invert()
-        assert eta_quotient(spec, order) == expected
+        assert dsl.evaluate(dsl.parse("f1^6/f5^6"), order) == expected
 
     def test_25_regular_generating_function(self):
         order = 30
-        s = eta_quotient(EtaQuotientSpec([(25, 1), (1, -1)]), order)
+        s = dsl.evaluate(dsl.parse("f25/f1"), order)
         # below q^25 this is the ordinary partition generating function
         dp = [1] + [0] * (order - 1)
         for part in range(1, 25):
@@ -189,5 +191,5 @@ class TestEtaQuotient:
         assert list(s.coeffs[:25]) == dp[:25]
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            EtaQuotientSpec([(0, 1)])
+        with pytest.raises(ParseError):
+            dsl.parse("f0")
