@@ -36,7 +36,7 @@ from .qfunctions import (
     theta_product,
 )
 from .report import VerificationReport, reports_to_json, reports_to_text
-from .series import ModSeries, Series, reduce_mod
+from .series import Series
 from .verify import ScanSpec, period_check, run_paper_suite, scan, verify_identity
 
 __version__ = "0.1.0"

@@ -6,20 +6,18 @@ schoolbook loops below them, and the sparse binomial update used by
 finite Pochhammer products.  Sparse, for a series 1 + sum c*q^j given by
 its few nonzero terms (a theta function): ``sparse_power`` by Miller's
 recurrence, ``sparse_mul`` and ``sparse_div``, each O(n * nnz).  The
-evaluator raises one theta base of an exact product by ``sparse_power``
-and folds the others in by ``sparse_mul`` and ``sparse_div``; products
-in Z/mZ, sums, unpaired Pochhammer symbols and everything else not a
-theta quotient use the dense kernels.
+evaluator raises one theta base of a product by ``sparse_power`` and
+folds the others in by ``sparse_mul`` and ``sparse_div``; sums, unpaired
+Pochhammer symbols and everything else not a theta quotient use the
+dense kernels.
 
 Callers call ``_backend.mul_trunc`` (not the defining module) so a
 profiler can replace a kernel for every caller in one place; products
 made inside an inversion call ``_kernels_py`` directly and are not seen
-there.  ``balanced`` reduces a coefficient list to balanced residues, as
-``invert_trunc`` does with a modulus.
+there.
 """
 
 from ._kernels_py import (  # noqa: F401
-    balanced,
     binomial_update,
     invert_trunc,
     mul_trunc,

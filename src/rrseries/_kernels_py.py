@@ -20,10 +20,6 @@ are exact at any size.
   Newton would multiply two wide series where the recurrence multiplies
   a narrow one by a wide one.
 
-With ``modulus=m``, ``invert_trunc`` works in Z/mZ: it reduces every
-product of a Newton step, and every term of the recurrence, to balanced
-residues (``balanced``), so no coefficient grows past m.
-
 Both give the same integers as the schoolbook loops ``_mul_schoolbook``
 and ``_invert_recurrence``, which stay as the small-size paths.  The
 cutoffs are crossover points measured on 64-bit CPython 3.11 with
@@ -43,8 +39,7 @@ pairs (j, c) with j >= 1 in increasing order, and cost O(n * nnz):
 The two recurrences run in blocks of ``SPARSE_BLOCK`` coefficients: the
 terms reaching back before a block are added to the whole block by slice
 operations, so only the terms with j below the block size are summed one
-coefficient at a time.  They run on exact coefficients only: in Z/mZ
-a dense product of small residues is cheaper than a sparse step.
+coefficient at a time.
 """
 
 import itertools
@@ -70,15 +65,6 @@ SPARSE_BLOCK = 128
 # near the base, sublinear beyond) takes 0.6 s by the recurrence against
 # 0.45 s by Newton.
 STEEP_BITS = 2
-
-
-def balanced(coeffs, m):
-    """Each coefficient reduced mod ``m`` into the balanced range (-m/2, m/2];
-    ``coeffs`` itself when ``m`` is None."""
-    if m is None:
-        return coeffs
-    h = (m - 1) // 2
-    return [(c + h) % m - h for c in coeffs]
 
 
 def mul_trunc(a, b, n):
@@ -135,7 +121,7 @@ def _mul_kronecker(a, b, n):
     del packed
     slots = la + lb - 1
     # the product's two's complement bytes, read slot by slot with a
-    # borrow, give back the balanced coefficients
+    # borrow, give back the signed coefficients
     raw = product.to_bytes(width * slots + 1, "little", signed=True)
     del product
     full = half << 1
@@ -150,8 +136,8 @@ def _mul_kronecker(a, b, n):
     return out
 
 
-def invert_trunc(a, n, *, modulus=None):
-    """First ``n`` coefficients of 1/a, or their balanced residues mod ``modulus``.
+def invert_trunc(a, n):
+    """First ``n`` coefficients of 1/a.
 
     Requires ``a[0]`` in {+1, -1}; the caller checks.  If b is 1/a to k
     terms, then a*b = 1 + q^k*h and b - q^k*b*h is 1/a to 2k terms.
@@ -159,15 +145,15 @@ def invert_trunc(a, n, *, modulus=None):
     precisions = [n]
     while precisions[-1] > INV_CUTOFF:
         precisions.append((precisions[-1] + 1) // 2)
-    b = _invert_recurrence(a, precisions.pop(), modulus)
+    b = _invert_recurrence(a, precisions.pop())
     if precisions and _grows_steeply(b):
-        return _invert_recurrence(a, n, modulus)
+        return _invert_recurrence(a, n)
     for size in reversed(precisions):
         k = len(b)
         # these products call this module's mul_trunc, not _backend's, so a
         # profiler counting _backend.mul_trunc sees series products only
-        h = balanced(mul_trunc(a, b, size)[k:], modulus)
-        b += balanced([-c for c in mul_trunc(b, h, size - k)], modulus)
+        h = mul_trunc(a, b, size)[k:]
+        b += [-c for c in mul_trunc(b, h, size - k)]
     return b
 
 
@@ -178,13 +164,11 @@ def _grows_steeply(b):
     return _bits(b[half:]) - _bits(b[:half]) >= STEEP_BITS * (len(b) - half)
 
 
-def _invert_recurrence(a, n, modulus=None):
-    """b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0]), each b[k]
-    reduced mod ``modulus`` when one is given."""
+def _invert_recurrence(a, n):
+    """b[k] = -a[0] * sum_{i>=1} a[i] b[k-i] (note 1/a[0] = a[0])."""
     a0 = a[0]
-    h = None if modulus is None else (modulus - 1) // 2
     out = [0] * n
-    out[0] = a0 if h is None else (a0 + h) % modulus - h
+    out[0] = a0
     # the nonzero a[i], so a sparse a costs O(n) per nonzero term
     terms = [(i, a[i]) for i in range(1, min(len(a), n)) if a[i]]
     for k in range(1, n):
@@ -193,7 +177,7 @@ def _invert_recurrence(a, n, modulus=None):
             if i > k:
                 break
             acc += ai * out[k - i]
-        out[k] = -a0 * acc if h is None else (h - a0 * acc) % modulus - h
+        out[k] = -a0 * acc
     return out
 
 

@@ -25,9 +25,11 @@ from .errors import SpecOutOfRange
 from .qfunctions import euler_f, pochhammer_inf  # noqa: F401
 from .report import first_violation, make_report
 
-# Written so that evaluation does the fewest ring operations: D inverts C,
-# and Npoly/Dpoly are Horner forms in x = q*R(q^5) of
-# 1 - 2x + 4x^2 - 3x^3 + x^4 and 1 + 3x + 4x^2 + 2x^3 + x^4.
+# Each product is lowered to one theta quotient however it is written:
+# D = (R^5/R(q^5))^-1 is f(-q^2,-q^3)^5 f(-q^5,-q^20) /
+# (f(-q,-q^4)^5 f(-q^10,-q^15)).  Npoly and Dpoly are sums, written as
+# Horner forms in x = q*R(q^5) of 1 - 2x + 4x^2 - 3x^3 + x^4 and
+# 1 + 3x + 4x^2 + 2x^3 + x^4 for the fewest ring operations.
 DEFINITIONS = {
     "G": "G(q)",
     "H": "H(q)",
@@ -54,11 +56,11 @@ _NODES = {tag: dsl.parse(text) for tag, text in DEFINITIONS.items()}
 CONJECTURAL_SIGNS = {("D", 5, 1): "+"}
 
 
-def named_series(tag, order, modulus=None):
-    """Catalog lookup: the series ``tag`` truncated to ``order`` (mod ``modulus``)."""
+def named_series(tag, order):
+    """Catalog lookup: the series ``tag`` truncated to ``order``."""
     if tag not in _NODES:
         raise SpecOutOfRange(f"unknown series tag {tag!r}")
-    return dsl.evaluate(_NODES[tag], order, modulus)
+    return dsl.evaluate(_NODES[tag], order)
 
 
 def clear_cache():

@@ -12,6 +12,7 @@ import sys
 from . import catalog, dsl, verify
 from .errors import RRSeriesError
 from .report import int_text, reports_to_json, reports_to_text
+from .series import require_modulus
 
 SERIES_CHOICES = ("A", "B", "C", "D", "c", "d", "G", "H", "R")
 
@@ -95,7 +96,9 @@ def _target(args):
 
 
 def cmd_expand(args, out):
-    series = dsl.evaluate(dsl.parse(args.expr), args.order, args.mod)
+    if args.mod is not None:
+        require_modulus(args.mod)
+    series = dsl.evaluate(dsl.parse(args.expr), args.order)
     coeffs = series.coeffs
     if args.mod is not None:
         coeffs = series.reduce_mod(args.mod).coeffs

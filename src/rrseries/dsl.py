@@ -29,12 +29,12 @@ functions) to one normal form, a :class:`Product`
 
 whose theta bases (r, s >= 1) are sparse series with constant term 1;
 only a Pochhammer symbol without a partner poch(m-a,m) stays a poch.
-An exact Product is built by the sparse kernels of ``_backend``: one
-base raised by Miller's recurrence, every other unit of exponent one
-sparse product or quotient.  In Z/mZ its theta series are combined by
-the dense kernels mod m, which are cheaper there.  Sums, dissections,
-finite products, theta atoms with a zero exponent and unpaired
-Pochhammer symbols are evaluated densely as before.
+A Product is built by the sparse kernels of ``_backend``: one base
+raised by Miller's recurrence, every other unit of exponent one sparse
+product or quotient.  Sums, dissections, finite products, theta atoms
+with a zero exponent and unpaired Pochhammer symbols are evaluated
+densely.  Every value is exact; a congruence mod m is checked on the
+exact value, reduced at the end.
 """
 
 import operator
@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _backend, qfunctions
-from .errors import (BudgetExceeded, EvaluationError, InvalidModulus, ManifestError,
-                     NonUnitConstantTerm, ParseError, UnknownSymbol)
+from .errors import (BudgetExceeded, EvaluationError, ManifestError, NonUnitConstantTerm,
+                     ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
-from .series import Series, require_unit
+from .series import Series
 
 # ---------------------------------------------------------------------------
 # AST
@@ -512,19 +512,13 @@ _FUN_DEFINITIONS = {
     "R": parse("theta(-1,1,-1,4)/theta(-1,2,-1,3)"),
 }
 
-# The package's one memo cache.  An exact value is keyed by its node, a
-# value mod m (balanced residues) by (node, m); each key keeps the longest
-# series computed for it.  A node's value at a lower order is a prefix of
-# its value at a higher one, so shorter requests are served by truncation,
-# and a long enough exact value serves every modulus by reduction.  The
-# value of a product subtree is also kept under its normal form (a
-# :class:`Product`), so the trees of one product share one entry.
+# The package's one memo cache: each node keeps the longest series computed
+# for it.  A node's value at a lower order is a prefix of its value at a
+# higher one, so shorter requests are served by truncation.  The value of a
+# product subtree is also kept under its normal form (a :class:`Product`),
+# so the trees of one product share one entry.
 _eval_cache = {}
 _eval_lock = threading.Lock()
-
-# Atoms are built (and cached) exactly and then reduced, so every modulus
-# shares one exact build.
-_ATOMS = (IntLit, Q, F, Poch, PochFin, Theta)
 
 _RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
@@ -548,7 +542,7 @@ def clear_cache():
         _eval_cache.clear()
 
 
-def evaluate(node, order, modulus=None):
+def evaluate(node, order):
     """Evaluate to a :class:`Series` of exactly ``order`` correct coefficients.
 
     Requested orders propagate down the tree (a dissection child is
@@ -563,37 +557,27 @@ def evaluate(node, order, modulus=None):
     are built densely, and an unpaired poch(a,m) enters its product as
     one dense factor.
 
-    With ``modulus=m`` the result is the value's balanced residues mod m,
-    computed in Z/mZ: every sum, product, power and inversion is reduced
-    as it is formed.  A division or negative power still needs the exact
-    constant term of its denominator to be +1 or -1.  A tree that needs an
-    order above MAX_ORDER or an exponent above MAX_EXPONENT raises
+    A division or negative power needs the constant term of its
+    denominator to be +1 or -1.  A tree that needs an order above
+    MAX_ORDER or an exponent above MAX_EXPONENT raises
     :class:`BudgetExceeded` before anything is built.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if modulus is not None and (not isinstance(modulus, int) or modulus < 2):
-        raise InvalidModulus(f"modulus {modulus!r} must be an int >= 2")
-    return _evaluate(node, order, modulus, ())
+    return _evaluate(node, order, ())
 
 
-def _lookup(key, order, m):
-    """The value cached for ``key`` (a node or a Product) to ``order``,
-    mod ``m`` when given, or None."""
+def _lookup(key, order):
+    """The value cached for ``key`` (a node or a Product) to ``order``, or None."""
     with _eval_lock:
-        exact = _eval_cache.get(key)
-        hit = exact if m is None else _eval_cache.get((key, m))
-    if exact is not None and exact.order >= order:
-        exact = exact.truncate(order)
-        return exact if m is None else exact.residues(m)
+        hit = _eval_cache.get(key)
     if hit is not None and hit.order >= order:
         return hit.truncate(order)
     return None
 
 
-def _store(key, m, value):
-    """Cache ``value`` for ``key`` (mod ``m``) unless a longer one is there."""
-    key = key if m is None else (key, m)
+def _store(key, value):
+    """Cache ``value`` for ``key`` unless a longer one is there."""
     with _eval_lock:
         hit = _eval_cache.get(key)
         if hit is None or hit.order < value.order:
@@ -601,18 +585,18 @@ def _store(key, m, value):
     return value
 
 
-def _evaluate(node, order, m, path):
-    value = _lookup(node, order, m)
+def _evaluate(node, order, path):
+    value = _lookup(node, order)
     if value is not None:
         return value
     if not path:
         _check_budget(node, order)
-    value = _compute(node, order, m, path)
+    value = _compute(node, order, path)
     if value.order != order:
         raise AssertionError(
             f"internal: expected order {order}, got {value.order} for {unparse(node)}"
         )
-    return _store(node, m, value)
+    return _store(node, value)
 
 
 def _check_budget(node, order):
@@ -646,29 +630,20 @@ def _dilate_to(series, t, order):
     return Series(list(dilated.coeffs) + [0] * (order - dilated.order))
 
 
-def _inverse(node, value, m, path, verb):
-    """``value`` inverted (mod ``m``), where ``value`` is ``node`` evaluated.
-
-    A residue can be a unit where the exact value is not (3 = -1 mod 4),
-    so with a modulus the exact constant term, from an order-1 evaluation,
-    decides.
-    """
+def _inverse(node, value, path, verb):
+    """``value`` inverted, where ``value`` is ``node`` evaluated."""
     try:
-        if m is not None:
-            require_unit(_evaluate(node, 1, None, path)[0])
-        return value.invert(m)
+        return value.invert()
     except NonUnitConstantTerm as exc:
         where = "/".join(path)
         raise EvaluationError(f"cannot {verb}: {exc} in {unparse(node)} (at {where})") from exc
 
 
-def _compute(node, order, m, path):
-    if m is not None and isinstance(node, _ATOMS):
-        return _evaluate(node, order, None, path).residues(m)
+def _compute(node, order, path):
     if isinstance(node, _PRODUCT_NODES):
         product = lower(node)
         if product is not None:
-            return _evaluate_product(product, order, m, path)
+            return _evaluate_product(product, order, path)
     if isinstance(node, IntLit):
         return Series.constant(node.value, order)
     if isinstance(node, Q):
@@ -683,36 +658,36 @@ def _compute(node, order, m, path):
         spec = ThetaSpec(node.sign_a, node.r, node.sign_b, node.s)
         return qfunctions.theta_general(spec, order)
     if type(node) in _RING_OPS:
-        left = _evaluate(node.left, order, m, path + ("left",))
-        right = _evaluate(node.right, order, m, path + ("right",))
-        return _RING_OPS[type(node)](left, right).residues(m)
+        left = _evaluate(node.left, order, path + ("left",))
+        right = _evaluate(node.right, order, path + ("right",))
+        return _RING_OPS[type(node)](left, right)
     if isinstance(node, Div):
         where = path + ("denominator",)
-        inv = _inverse(node.right, _evaluate(node.right, order, m, where), m, where, "divide")
-        return (_evaluate(node.left, order, m, path + ("numerator",)) * inv).residues(m)
+        inv = _inverse(node.right, _evaluate(node.right, order, where), where, "divide")
+        return _evaluate(node.left, order, path + ("numerator",)) * inv
     if isinstance(node, Pow):
         where = path + ("base",)
-        base = _evaluate(node.base, order, m, where)
+        base = _evaluate(node.base, order, where)
         if node.exponent < 0:
             verb = f"raise to {node.exponent}"
-            return pow(_inverse(node.base, base, m, where, verb), -node.exponent, m)
-        return pow(base, node.exponent, m)
+            return _inverse(node.base, base, where, verb) ** -node.exponent
+        return base ** node.exponent
     if isinstance(node, Neg):
-        return (-_evaluate(node.child, order, m, path + ("child",))).residues(m)
+        return -_evaluate(node.child, order, path + ("child",))
     if isinstance(node, Dilate):
         if node.t < 1:
             raise EvaluationError(f"dilation factor must be >= 1 in {unparse(node)}")
         child_order = (order + node.t - 1) // node.t
-        child = _evaluate(node.child, child_order, m, path + ("child",))
+        child = _evaluate(node.child, child_order, path + ("child",))
         return _dilate_to(child, node.t, order)
     if isinstance(node, NegQ):
-        return _evaluate(node.child, order, m, path + ("child",)).negate_q().residues(m)
+        return _evaluate(node.child, order, path + ("child",)).negate_q()
     if isinstance(node, Dissect):
         if node.t < 1 or not 0 <= node.j < node.t:
             raise EvaluationError(
                 f"dissection needs t >= 1 and 0 <= j < t in {unparse(node)}"
             )
-        child = _evaluate(node.child, node.t * order, m, path + ("child",))
+        child = _evaluate(node.child, node.t * order, path + ("child",))
         return child.dissect(node.t, node.j).truncate(order)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -729,7 +704,7 @@ class Product(NamedTuple):
     term 1.  ``pochs`` holds sorted ((a, m), e) pairs for the Pochhammer
     symbols (q^a; q^m)_inf that found no partner.  Every e is nonzero, k
     is >= 0, and c = 0 only in the zero product, which has no factors.
-    A 4-tuple, so it never equals a node or a (key, m) pair of the cache.
+    A tuple, so it never equals a node key of the cache.
     """
 
     c: int
@@ -886,10 +861,10 @@ def _pair(thetas, pochs):
     return thetas, {key: e for key, e in rest.items() if e}
 
 
-def _evaluate_product(product, order, m, path):
-    value = _lookup(product, order, m)
+def _evaluate_product(product, order, path):
+    value = _lookup(product, order)
     if value is None:
-        value = _store(product, m, _product_series(product, order, m, path))
+        value = _store(product, _product_series(product, order, path))
     return value
 
 
@@ -897,63 +872,52 @@ def _power_product(spec, e):
     return Product(1, 0, ((spec, e),), ())
 
 
-def _product_series(product, order, m, path):
+def _product_series(product, order, path):
     """``product`` to ``order``: the sparse theta quotient, times each
     unpaired poch by one dense product, times c, shifted by k."""
     n = order - product.k
     if product.c == 0 or n <= 0:
         return Series([0] * order)
     thetas = product.thetas
-    if m is None and len(thetas) == 1 and product == _power_product(*thetas[0]):
-        # one base to one power, exactly: Miller's recurrence
+    if len(thetas) == 1 and product == _power_product(*thetas[0]):
+        # one base to one power: Miller's recurrence
         spec, e = thetas[0]
         if e == 1:
             return qfunctions.theta_general(spec, n)
         return Series(_backend.sparse_power(qfunctions.theta_terms(spec, n)[1:], e, n))
-    coeffs = _theta_quotient(thetas, n, m, path) if thetas else None
-    for (a, mod), e in product.pochs:
-        dense = _evaluate(Poch(a, mod), n, m, path)
-        dense = list(pow(dense.invert(m), -e, m) if e < 0 else pow(dense, e, m))
-        coeffs = dense if coeffs is None else _backend.balanced(
-            _backend.mul_trunc(coeffs, dense, n), m)
+    coeffs = _theta_quotient(thetas, n, path) if thetas else None
+    for (a, m), e in product.pochs:
+        dense = list(_evaluate(Poch(a, m), n, path) ** e)
+        coeffs = dense if coeffs is None else _backend.mul_trunc(coeffs, dense, n)
     if coeffs is None:
         coeffs = [1] + [0] * (n - 1)
     if product.c != 1:
-        coeffs = _backend.balanced([product.c * x for x in coeffs], m)
+        coeffs = [product.c * x for x in coeffs]
     return Series([0] * product.k + coeffs)
 
 
-def _theta_quotient(thetas, n, m, path):
-    """prod theta^e to ``n`` terms (mod ``m``), as a list.
+def _theta_quotient(thetas, n, path):
+    """prod theta^e to ``n`` terms, as a list.
 
-    Exactly, the base with the largest |e| is raised by Miller's
-    recurrence, through the cache, so products that share it share its
-    build.  Among equal |e| a negative base goes first, since a sparse
-    division costs more than a sparse product, except that a first power
-    needs no recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3) is one sparse
-    division of a theta series.  Each other unit of exponent is one sparse
+    The base with the largest |e| is raised by Miller's recurrence,
+    through the cache, so products that share it share its build.  Among
+    equal |e| a negative base goes first, since a sparse division costs
+    more than a sparse product, except that a first power needs no
+    recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3) is one sparse division
+    of a theta series.  Each other unit of exponent is one sparse
     product or quotient, taken in turn so that intermediate coefficients
     stay near the width of the result; a base with |e| above
     MAX_SPARSE_STEPS gets a Miller power of its own and one dense product
     instead.
-
-    In Z/mZ every coefficient stays below m, so the dense kernels win:
-    Miller's recurrence divides by n and needs exact coefficients, and a
-    sparse step costs O(n * nnz) list operations where a dense product of
-    small residues costs a few big-integer operations.  There the bases
-    are raised together by one square-and-multiply over all exponents,
-    each negative base inverted once by Newton iteration mod m.
     """
-    if m is not None:
-        return _theta_quotient_mod(thetas, n, m)
     pivot = max(thetas, key=_pivot_key)
-    coeffs = list(_evaluate_product(_power_product(*pivot), n, None, path).coeffs)
+    coeffs = list(_evaluate_product(_power_product(*pivot), n, path).coeffs)
     muls, divs = [], []
     for spec, e in thetas:
         if (spec, e) == pivot:
             continue
         if abs(e) > MAX_SPARSE_STEPS:
-            power = _evaluate_product(_power_product(spec, e), n, None, path)
+            power = _evaluate_product(_power_product(spec, e), n, path)
             coeffs = _backend.mul_trunc(coeffs, list(power.coeffs), n)
             continue
         terms = qfunctions.theta_terms(spec, n)[1:]
@@ -969,24 +933,6 @@ def _theta_quotient(thetas, n, m, path):
 def _pivot_key(item):
     e = item[1]
     return abs(e), (-e if abs(e) > 1 else e)
-
-
-def _theta_quotient_mod(thetas, n, m):
-    """prod theta^e mod ``m``: for each bit of the exponents, from the top,
-    square the product and multiply in each base (or its inverse) whose
-    |e| has that bit."""
-    bases = []
-    for spec, e in thetas:
-        base = qfunctions.theta_general(spec, n).residues(m)
-        bases.append((base if e > 0 else base.invert(m), abs(e)))
-    acc = None
-    for bit in reversed(range(max(e for _, e in bases).bit_length())):
-        if acc is not None:
-            acc = (acc * acc).residues(m)
-        for base, e in bases:
-            if e >> bit & 1:
-                acc = base if acc is None else (acc * base).residues(m)
-    return list(acc.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +984,7 @@ def parse_record(line, line_number=None):
         rhs = parse(sides[1])
     except ParseError as exc:
         raise ManifestError(str(exc), line_number, name) from exc
-    return IdentityRecord(name=name, lhs=lhs, rhs=rhs, modulus=modulus, anchor=anchor)
+    return IdentityRecord(name, lhs, rhs, modulus, anchor)
 
 
 def load_manifest(path):

@@ -14,7 +14,7 @@ class ResidueOutOfRange(RRSeriesError):
 
 
 class InvalidModulus(RRSeriesError):
-    """Modulus smaller than 2 passed to a mod-arithmetic operation."""
+    """Modulus other than an int >= 2 passed to a reduction mod m."""
 
 
 class InvalidTheta(RRSeriesError):

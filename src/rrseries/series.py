@@ -9,24 +9,21 @@ Truncation contract: binary operations return the minimum of the operand
 orders; ``dissect`` and ``dilate`` adjust the order by the exact index
 formulas so a result never claims coefficients it cannot certify.
 
-Arithmetic mod m is done by the evaluator on series of balanced residues
-(:meth:`Series.residues`): it reduces after each ring operation, and
-``pow(s, k, m)`` and ``s.invert(m)`` reduce inside, so no coefficient
-grows past m.
+A congruence mod m is checked on an exact series reduced at the end:
+:meth:`Series.reduce_mod` gives its coefficients in [0, m).
 """
 
 from . import _backend
 from .errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
 
 
-def _power(base, k, modulus=None):
-    """``base**k`` for an int ``k >= 1`` by repeated squaring, with no product
-    by one; each product is reduced mod ``modulus`` when one is given."""
+def _power(base, k):
+    """``base**k`` for an int ``k >= 1`` by repeated squaring, with no product by one."""
     result = None
     while k:
         if k & 1:
-            result = base if result is None else (result * base).residues(modulus)
-        base = (base * base).residues(modulus) if k > 1 else base
+            result = base if result is None else result * base
+        base = base * base if k > 1 else base
         k >>= 1
     return result
 
@@ -35,6 +32,12 @@ def require_unit(constant):
     """Raise NonUnitConstantTerm unless ``constant`` is +1 or -1."""
     if constant not in (1, -1):
         raise NonUnitConstantTerm(f"constant term {constant} is not a unit in Z[[q]]")
+
+
+def require_modulus(m):
+    """Raise InvalidModulus unless ``m`` is an int >= 2."""
+    if not isinstance(m, int) or m < 2:
+        raise InvalidModulus(f"modulus {m!r} must be an int >= 2")
 
 
 class Series:
@@ -134,21 +137,18 @@ class Series:
         n = min(self.order, other.order)
         return Series(_backend.mul_trunc(list(self.coeffs), list(other.coeffs), n))
 
-    def invert(self, modulus=None):
-        """Multiplicative inverse (mod ``modulus``); the constant term must be +1 or -1."""
+    def invert(self):
+        """Multiplicative inverse; the constant term must be +1 or -1."""
         require_unit(self.coeffs[0])
-        return Series(_backend.invert_trunc(list(self.coeffs), self.order, modulus=modulus))
+        return Series(_backend.invert_trunc(list(self.coeffs), self.order))
 
-    def __pow__(self, k, modulus=None):
-        """Integer power by repeated squaring; negative k inverts first.
-
-        ``pow(s, k, m)`` reduces every product mod m.
-        """
+    def __pow__(self, k):
+        """Integer power by repeated squaring; negative k inverts first."""
         if not isinstance(k, int):
             raise TypeError("series exponent must be an int")
         if k < 0:
-            return pow(self.invert(modulus), -k, modulus)
-        return _power(self, k, modulus) if k else Series.one(self.order)
+            return self.invert() ** -k
+        return _power(self, k) if k else Series.one(self.order)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -192,59 +192,7 @@ class Series:
 
     # -- reduction -----------------------------------------------------------
 
-    def residues(self, m):
-        """Coefficientwise reduction into the balanced range (-m/2, m/2];
-        the series itself when ``m`` is None, so exact and mod m code agree."""
-        return self if m is None else Series(_backend.balanced(self.coeffs, m))
-
     def reduce_mod(self, m):
-        return ModSeries([c % m for c in self.coeffs], m)
-
-
-class ModSeries:
-    """Truncated series with coefficients reduced into [0, m): the printed form
-    of a result mod m.  Arithmetic mod m is done on :meth:`Series.residues`."""
-
-    __slots__ = ("coeffs", "modulus")
-
-    def __init__(self, coeffs, modulus):
-        if modulus < 2:
-            raise InvalidModulus(f"modulus {modulus} must be >= 2")
-        coeffs = tuple(c % modulus for c in coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModSeries is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, ModSeries):
-            return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.modulus))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order > 8 else ""
-        return f"ModSeries([{head}{tail}], mod {self.modulus}, order={self.order})"
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-
-def reduce_mod(s, m):
-    """Coefficientwise reduction of a :class:`Series` into [0, m)."""
-    if m < 2:
-        raise InvalidModulus(f"modulus {m} must be >= 2")
-    return s.reduce_mod(m)
+        """Coefficientwise reduction into [0, m), for an int ``m >= 2``."""
+        require_modulus(m)
+        return Series([c % m for c in self.coeffs])

@@ -2,7 +2,9 @@
 
 Items are pure and independent; the suite runs them in a fixed order so
 reports are deterministic apart from timing.  Certified orders are the
-orders actually compared, never the orders requested.
+orders actually compared, never the orders requested.  Congruence records
+and divisibility scans read exact coefficients and reduce them mod m, so a
+violation reports the unreduced value.
 """
 
 import time
@@ -49,54 +51,49 @@ class ScanSpec:
         object.__setattr__(self, "exceptions", tuple(sorted(self.exceptions)))
 
 
-def _resolve_target(target, order, modulus=None):
-    """``target`` to ``order`` terms, as residues mod ``modulus`` if one is given
-    (a given Series stays exact)."""
+def _resolve_target(target, order):
+    """``target`` (a catalog tag, a Series or a DSL tree) to ``order`` terms."""
     if isinstance(target, str):
-        return catalog.named_series(target, order, modulus)
+        return catalog.named_series(target, order)
     if isinstance(target, Series):
         return target.truncate(order)
-    return dsl.evaluate(target, order, modulus)
+    return dsl.evaluate(target, order)
 
 
 def verify_identity(record, order):
     """Check one identity record to ``order`` coefficients.
 
-    Equalities compare exact coefficients of both sides.  Congruences are
-    evaluated in Z/mZ and pass when every residue of the difference is 0;
-    only a violation evaluates both sides exactly, to its index, so the
-    report shows the unreduced difference.  Evaluation errors become a fail
-    report carrying the diagnostic, except :class:`BudgetExceeded`, which
+    Equalities compare exact coefficients of both sides; congruences
+    compare the exact difference with zero mod m, and a violation shows
+    the unreduced difference.  Evaluation errors become a fail report
+    carrying the diagnostic, except :class:`BudgetExceeded`, which
     propagates: the run stops with the budget's message before it builds
     anything, instead of reporting every record as failing at n = 0.
     """
     start = time.perf_counter()
     try:
-        lhs = dsl.evaluate(record.lhs, order, record.modulus)
-        rhs = dsl.evaluate(record.rhs, order, record.modulus)
+        lhs = dsl.evaluate(record.lhs, order)
+        rhs = dsl.evaluate(record.rhs, order)
     except BudgetExceeded:
         raise
     except RRSeriesError as exc:
         return make_report(record.name, (0, 0), 0, start, detail={"error": str(exc)})
     difference = (lhs - rhs).coeffs
     if record.is_congruence:
-        difference = [d % record.modulus for d in difference]
+        difference = [d if d % record.modulus else 0 for d in difference]
     violation = first_violation((d, 0) for d in difference)
-    if violation is not None and record.is_congruence:
-        n = violation[0]
-        violation = (n, dsl.evaluate(record.lhs, n + 1)[n] - dsl.evaluate(record.rhs, n + 1)[n])
     return make_report(record.name, violation, len(difference), start)
 
 
 def scan(spec, order=None, report_only=False):
     """Run one sign/divisibility scan below ``order`` (default spec.max_n).
 
-    A divisibility scan reads residues mod the divisor; a violation reports
-    the exact coefficient, evaluated to its index only then.
+    Both kinds read the exact coefficients, so a violation reports the
+    unreduced coefficient.
     """
     start = time.perf_counter()
     limit = spec.max_n if order is None else order
-    series = _resolve_target(spec.target, limit, spec.divisor)
+    series = _resolve_target(spec.target, limit)
     limit = min(limit, series.order)
 
     def bad(value):
@@ -109,9 +106,6 @@ def scan(spec, order=None, report_only=False):
          if n not in spec.exceptions and bad(series[n])),
         None,
     )
-    if violation is not None and spec.divisor is not None:
-        n = violation[0]
-        violation = (n, _resolve_target(spec.target, n + 1)[n])
     return make_report(spec.name, violation, limit, start, report_only)
 
 

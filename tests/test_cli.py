@@ -57,10 +57,12 @@ class TestExpand:
         exact = dsl.evaluate(dsl.parse("1/R(q)^5"), 300)
         assert out == ", ".join(str(c % 4) for c in exact.coeffs) + "\n"
 
-    def test_mod_below_two_exits_2(self, capsys):
+    def test_mod_below_two_exits_2(self, count_kernel_calls, capsys):
+        calls = count_kernel_calls()
         code, out = run_cli("expand", "f1", "-N", "6", "--mod", "1")
         assert (code, out) == (2, "")
         assert "modulus 1 must be an int >= 2" in capsys.readouterr().err
+        assert calls == []
 
     def test_order_budget_exits_2_before_building(self, count_kernel_calls, capsys):
         calls = count_kernel_calls()

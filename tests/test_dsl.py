@@ -1,7 +1,7 @@
 """Identity DSL: parsing, unparsing, evaluation, manifests."""
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrseries import dsl, qfunctions
@@ -275,82 +275,25 @@ class TestEvaluate:
         assert s.coeffs == tuple(f1[5 * n + 4] for n in range(11))
 
 
-def evaluate_fresh(tree, order, modulus=None):
+def evaluate_fresh(tree, order):
     """``evaluate`` on an empty cache, so no other entry can serve it; the
     result, or the message of the EvaluationError it raised."""
     dsl.clear_cache()
     try:
-        return evaluate(tree, order, modulus)
+        return evaluate(tree, order)
     except EvaluationError as exc:
         return str(exc)
     finally:
         dsl.clear_cache()
 
 
-def needed_order(node, order):
-    """The highest order evaluating ``node`` to ``order`` asks of any node."""
-    if isinstance(node, Dissect):
-        return needed_order(node.child, node.t * order)
-    if isinstance(node, Dilate):
-        return max(order, needed_order(node.child, -(-order // node.t)))
-    children = [getattr(node, name) for name in ("left", "right", "child", "base")
-                if hasattr(node, name)]
-    return max([order] + [needed_order(child, order) for child in children])
-
-
-MODULI = (2, 3, 4, 8, 15, 30)
-
-
 class TestEvaluateModM:
-    """Evaluation in Z/mZ against the exact value reduced afterwards."""
-
-    @given(expressions, st.sampled_from(MODULI))
-    # denominators whose exact constant term is a non-unit that is a unit mod m
-    @example(Div(IntLit(1), Add(IntLit(3), Q())), 4)
-    @example(Pow(Sub(IntLit(5), Q()), -2), 3)
-    @example(Div(F(1), Mul(IntLit(3), F(2))), 8)
-    @example(Pow(Add(IntLit(14), Poch(1, 5)), -1), 15)
-    # negation maps the residue m/2 outside (-m/2, m/2]
-    @example(NegQ(Mul(IntLit(2), F(1))), 4)
-    @example(Neg(Q()), 2)
-    @settings(max_examples=100, deadline=None)
-    def test_random_trees_match_exact_reduced(self, tree, m):
-        # nested dissections multiply the order; keep each example cheap
-        assume(needed_order(tree, 9) <= 2000)
-        exact = evaluate_fresh(tree, 9)
-        residues = evaluate_fresh(tree, 9, m)
-        if isinstance(exact, str):
-            assert residues == exact  # the same EvaluationError
-        else:
-            assert residues == exact.residues(m)
+    """A congruence is checked on the exact value, so a denominator is
+    refused exactly as in an equality."""
 
     def test_non_unit_denominator_is_refused_as_exactly(self):
         message = "cannot divide: constant term 3 is not a unit in Z[[q]] in 3 + q (at denominator)"
         assert evaluate_fresh(parse("1/(3+q)"), 5) == message
-        assert evaluate_fresh(parse("1/(3+q)"), 5, 4) == message
-
-    def test_exact_cache_serves_residues_without_kernel_calls(self, count_kernel_calls):
-        tree = parse("dissect(poch(2,7)*poch(5,7)/(poch(1,7)*poch(6,7))^3, 3, 1)")
-        dsl.clear_cache()
-        exact = evaluate(tree, 120)
-        calls = count_kernel_calls()
-        for m in MODULI:
-            assert evaluate(tree, 100, m) == exact.truncate(100).residues(m)
-        assert calls == []
-
-    def test_residues_are_cached_per_modulus(self, count_kernel_calls):
-        tree = parse("(poch(3,8)*poch(5,8))^-4")
-        dsl.clear_cache()
-        first = evaluate(tree, 200, 4)
-        calls = count_kernel_calls()
-        assert evaluate(tree, 150, 4) == first.truncate(150)
-        assert calls == []
-        assert evaluate(tree, 150, 8) == evaluate_fresh(tree, 150).residues(8)
-
-    def test_invalid_modulus(self):
-        for m in (1, 0, -4, 2.5):
-            with pytest.raises(RRSeriesError):
-                evaluate(parse("f1"), 5, m)
 
 
 def dense_oracle(node, order, path=()):
@@ -460,24 +403,18 @@ def oracle_fresh(tree, order):
 class TestThetaQuotientEngine:
     """The sparse theta-quotient engine against a dense evaluator."""
 
-    @given(product_trees, st.sampled_from(MODULI))
-    @example(parse("R(q)^-5*R(q^2)^3/chi(-q)^7"), 4)
-    @example(parse("poch(1,5)^5*poch(4,5)^3*poch(1,7)^-2/poch(3,6)"), 15)
-    @example(parse("negq(poch(1,5)*poch(4,5))*dilate(G(-q)^-7,2)"), 8)
-    @example(parse("f1^7*f2^-7*f3^7/f4^7"), 30)
-    @example(parse("(2*q*f1)^-1"), 2)
-    @example(parse("theta(1,0,1,2)*f1/(q/q)"), 3)
+    @given(product_trees)
+    @example(parse("R(q)^-5*R(q^2)^3/chi(-q)^7"))
+    @example(parse("poch(1,5)^5*poch(4,5)^3*poch(1,7)^-2/poch(3,6)"))
+    @example(parse("negq(poch(1,5)*poch(4,5))*dilate(G(-q)^-7,2)"))
+    @example(parse("f1^7*f2^-7*f3^7/f4^7"))
+    @example(parse("(2*q*f1)^-1"))
+    @example(parse("theta(1,0,1,2)*f1/(q/q)"))
     @settings(max_examples=200, deadline=None)
-    def test_random_products_match_dense_oracle(self, tree, m):
+    def test_random_products_match_dense_oracle(self, tree):
         order = 30
-        expected = oracle_fresh(tree, order)
-        exact = evaluate_fresh(tree, order)
-        residues = evaluate_fresh(tree, order, m)
-        if isinstance(expected, str):
-            assert exact == residues == expected  # the same EvaluationError
-        else:
-            assert exact == expected
-            assert residues == expected.residues(m)
+        # the same series, or the same EvaluationError
+        assert evaluate_fresh(tree, order) == oracle_fresh(tree, order)
 
     def test_lowering_rules(self):
         f = qfunctions.ThetaSpec

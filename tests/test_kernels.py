@@ -192,23 +192,6 @@ class TestInvertPaths:
         a = [1] + [rng.choice((-1, 0, 1)) for _ in range(499)]
         assert not _kernels_py._grows_steeply(_kernels_py._invert_recurrence(a, 63))
 
-    def test_invert_mod_m_is_exact_reduced(self):
-        rng = random.Random(59)
-        for n in (1, INV - 1, INV + 1, 4 * INV + 3):
-            for bits in (2, 64):
-                a = [rng.choice((1, -1))] + mixed_coeffs(rng, n - 1, bits)
-                exact = _kernels_py.invert_trunc(a, n)
-                for m in (2, 3, 4, 15, 1 << 70):
-                    residues = _kernels_py.balanced(a, m)
-                    got = _kernels_py.invert_trunc(residues, n, modulus=m)
-                    assert got == _kernels_py.balanced(exact, m), (n, bits, m)
-                    assert all(-m // 2 < c <= m // 2 for c in got)
-
-    def test_balanced_range(self):
-        assert _kernels_py.balanced(range(-4, 5), 4) == [0, 1, 2, -1, 0, 1, 2, -1, 0]
-        assert _kernels_py.balanced(range(-2, 3), 2) == [0, 1, 0, 1, 0]
-        assert _kernels_py.balanced(range(-2, 3), 3) == [1, -1, 0, 1, -1]
-
 
 BLOCK = _kernels_py.SPARSE_BLOCK
 SPARSE_ORDERS = (1, 2, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 300)

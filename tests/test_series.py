@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rrseries import _backend
 from rrseries.errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
-from rrseries.series import Series, reduce_mod
+from rrseries.series import Series
 
 
 def pentagonal_oracle(order):
@@ -200,12 +200,15 @@ class TestDilateDissect:
 
 
 class TestModSeries:
+    """Reduction of an exact series mod m into [0, m)."""
+
     def test_reduce_simple(self):
-        assert reduce_mod(Series([0, 3, 0]), 3).is_zero()
+        assert Series([0, 3, 0]).reduce_mod(3).is_zero()
 
     def test_invalid_modulus(self):
-        with pytest.raises(InvalidModulus):
-            reduce_mod(Series([1]), 1)
+        for m in (1, 0, -4, 2.5):
+            with pytest.raises(InvalidModulus):
+                Series([1]).reduce_mod(m)
 
     def test_negative_coefficients_normalize(self):
         assert Series([-1, -4]).reduce_mod(3).coeffs == (2, 2)
@@ -213,34 +216,27 @@ class TestModSeries:
     @given(small_series, small_series, st.integers(2, 12))
     @settings(max_examples=60)
     def test_reduction_is_ring_homomorphism(self, a, b, m):
-        ra, rb = a.residues(m), b.residues(m)
-        assert (a * b).residues(m) == (ra * rb).residues(m)
-        assert (a + b).residues(m) == (ra + rb).residues(m)
+        ra, rb = a.reduce_mod(m), b.reduce_mod(m)
+        assert all(0 <= c < m for c in ra.coeffs)
         assert (a * b).reduce_mod(m) == (ra * rb).reduce_mod(m)
-
-    def test_residues_are_balanced(self):
-        assert Series([-3, -2, -1, 0, 1, 2, 3, 4, 5]).residues(4).coeffs == (1, 2, -1, 0, 1, 2, -1, 0, 1)
-        assert Series([-1, 0, 1, 2, 3]).residues(2).coeffs == (1, 0, 1, 0, 1)
-        assert Series([7, -7, 8]).residues(15).coeffs == (7, -7, -7)
+        assert (a + b).reduce_mod(m) == (ra + rb).reduce_mod(m)
+        assert (a - b).reduce_mod(m) == (ra - rb).reduce_mod(m)
 
     def test_power_makes_no_unit_product(self, monkeypatch):
         calls = []
         mul = _backend.mul_trunc
         monkeypatch.setattr(_backend, "mul_trunc", lambda *args: calls.append(1) or mul(*args))
-        s = Series([3, 1, 4, 1, 5]).residues(7)
-        assert pow(s, 1, 7) == s
+        s = Series([3, 1, 4, 1, 5])
+        assert s ** 1 == s
         assert calls == []
-        assert pow(s, 0, 7) == Series.one(5)
+        assert s ** 0 == Series.one(5)
         assert calls == []
         # k = 5: squarings base^2, base^4, then one product base * base^4
-        assert pow(s, 5, 7) == (Series([3, 1, 4, 1, 5]) ** 5).residues(7)
-        assert len(calls) == 3 + 3
-
-    def test_modular_inverse_matches_exact(self):
-        s = Series([-1, 4, -9, 16, 7] * 30)
-        for m in (2, 3, 4, 15):
-            assert s.residues(m).invert(m) == s.invert().residues(m)
-            assert pow(s.residues(m), -3, m) == (s**-3).residues(m)
+        expected = [1, 0, 0, 0, 0]
+        for _ in range(5):
+            expected = [sum(expected[i] * s[n - i] for i in range(n + 1)) for n in range(5)]
+        assert s ** 5 == Series(expected)
+        assert len(calls) == 3
 
     def test_power_tower_congruence(self):
         # f_k^(2^l) = f_(2k)^(2^(l-1)) mod 2^l, here (k, l) = (1, 3)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from rrseries import catalog, cli, dsl, verify
-from rrseries.dsl import evaluate, load_manifest, parse, parse_record
+from rrseries.dsl import evaluate, parse, parse_record
 from rrseries.report import reports_to_json, reports_to_text
 from rrseries.series import Series
 from rrseries.verify import ScanSpec, period_check, scan, verify_identity
@@ -52,22 +52,8 @@ class TestVerifyIdentity:
 
 
 class TestCongruencesModM:
-    """(mod m) records and divisibility scans run in Z/mZ; they must agree
-    with the exact evaluation reduced afterwards, and fail with its report."""
-
-    def test_manifest_congruences_match_exact_reduced(self):
-        records = [r for r in load_manifest(verify.default_manifest_path()) if r.is_congruence]
-        assert len(records) == 24
-        order = 200
-        dsl.clear_cache()
-        residues = [(evaluate(r.lhs, order, r.modulus), evaluate(r.rhs, order, r.modulus))
-                    for r in records]
-        dsl.clear_cache()
-        for record, (lhs, rhs) in zip(records, residues):
-            m = record.modulus
-            assert lhs == evaluate(record.lhs, order).residues(m), record.name
-            assert rhs == evaluate(record.rhs, order).residues(m), record.name
-            assert (lhs - rhs).residues(m).is_zero(), record.name
+    """(mod m) records and divisibility scans read the exact series, so a
+    failure reports the unreduced value and leaves the series cached."""
 
     def test_false_congruence_reports_the_exact_difference(self):
         record = parse_record(
@@ -92,6 +78,17 @@ class TestCongruencesModM:
         n = next(n for n in range(13, 400, 16) if a[n] % 8)
         assert (report.status, report.first_violation) == ("fail", (n, a[n]))
         assert abs(a[n]) > 8
+
+    def test_failing_divisibility_scan_caches_the_exact_series(self, count_kernel_calls):
+        tree = parse("poch(1,7)^-3*R(q)^2")
+        dsl.clear_cache()
+        report = scan(ScanSpec(name="x", target=tree, period=3, residue=1, divisor=4,
+                               max_n=400))
+        assert (report.status, report.first_violation[0]) == ("fail", 1)
+        calls = count_kernel_calls()
+        series = evaluate(tree, 400)
+        assert calls == []
+        assert report.first_violation == (1, series[1])
 
     def test_evaluation_error_in_congruence_is_a_diagnostic(self):
         report = verify_identity(parse_record("[x] (mod 4) : 1/(3+q) == 3 - q @ x"), 10)
