@@ -153,7 +153,7 @@ def test_criterion_4_congruence_families():
 
 
 # The same eight families far past SCAN_LIMIT: A, B, C and D are built
-# exactly to MOD_SCAN_LIMIT and reduced (about 3.3 s on a 2-vCPU host).
+# exactly to MOD_SCAN_LIMIT and reduced (1.7 to 3.3 s on a 2-vCPU host).
 MOD_SCAN_LIMIT = 12000
 
 
