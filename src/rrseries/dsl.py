@@ -746,9 +746,14 @@ def lower(node):
     for spec, e in thetas.items():
         spec = spec.canonical()
         merged[spec] = merged.get(spec, 0) + e
-    thetas = sorted(((spec, e) for spec, e in merged.items() if e),
-                    key=lambda item: (item[0].r, item[0].s, item[0].sign_a, item[0].sign_b))
+    thetas = sorted(((spec, e) for spec, e in merged.items() if e), key=_base_key)
     return Product(c, k, tuple(thetas), tuple(sorted(pochs.items())))
+
+
+def _base_key(item):
+    """The order of the (ThetaSpec, e) pairs in ``Product.thetas``."""
+    spec = item[0]
+    return spec.r, spec.s, spec.sign_a, spec.sign_b
 
 
 def _is_unit(parts):
@@ -899,23 +904,31 @@ def _product_series(product, order, path):
 def _theta_quotient(thetas, n, path):
     """prod theta^e to ``n`` terms, as a list.
 
-    The base with the largest |e| is raised by Miller's recurrence,
-    through the cache, so products that share it share its build.  Among
+    The bases are ranked by :func:`_pivot_key`, largest |e| first; among
     equal |e| a negative base goes first, since a sparse division costs
     more than a sparse product, except that a first power needs no
     recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3) is one sparse division
-    of a theta series.  Each other unit of exponent is one sparse
-    product or quotient, taken in turn so that intermediate coefficients
-    stay near the width of the result; a base with |e| above
-    MAX_SPARSE_STEPS gets a Miller power of its own and one dense product
-    instead.
+    of a theta series.  The build starts from the longest prefix of that
+    ranking whose product (c = 1, k = 0, no poch) the cache holds to at
+    least ``n`` terms, longest first and down to two bases, so C = B *
+    f(-q^10,-q^15)/f(-q^5,-q^20) starts from B, D from A, and the theta
+    part of 5*q*R(q)^5 is B itself.  With no such entry it starts from
+    the first base alone, raised by Miller's recurrence through the
+    cache, so products that share it share its build.  Each unit of
+    exponent of the remaining bases is one sparse product or quotient,
+    taken in turn so that intermediate coefficients stay near the width
+    of the result; a base with |e| above MAX_SPARSE_STEPS gets a Miller
+    power of its own and one dense product instead.
     """
-    pivot = max(thetas, key=_pivot_key)
-    coeffs = list(_evaluate_product(_power_product(*pivot), n, path).coeffs)
+    bases = sorted(thetas, key=_pivot_key, reverse=True)
+    for size in range(len(bases), 0, -1):
+        prefix = Product(1, 0, tuple(sorted(bases[:size], key=_base_key)), ())
+        start = _lookup(prefix, n) if size > 1 else _evaluate_product(prefix, n, path)
+        if start is not None:
+            break
+    coeffs = list(start.coeffs)
     muls, divs = [], []
-    for spec, e in thetas:
-        if (spec, e) == pivot:
-            continue
+    for spec, e in bases[size:]:
         if abs(e) > MAX_SPARSE_STEPS:
             power = _evaluate_product(_power_product(spec, e), n, path)
             coeffs = _backend.mul_trunc(coeffs, list(power.coeffs), n)

@@ -89,12 +89,20 @@ def scan(spec, order=None, report_only=False):
     """Run one sign/divisibility scan below ``order`` (default spec.max_n).
 
     Both kinds read the exact coefficients, so a violation reports the
-    unreduced coefficient.
+    unreduced coefficient.  A scan with no index below the limit on its
+    progression outside ``exceptions`` would pass without checking
+    anything: it raises ValueError, before any series is built.
     """
     start = time.perf_counter()
     limit = spec.max_n if order is None else order
+    if isinstance(spec.target, Series):
+        limit = min(limit, spec.target.order)
+    if all(n in spec.exceptions for n in range(spec.residue, limit, spec.period)):
+        raise ValueError(
+            f"{spec.name}: no index n < {limit} with n = {spec.residue} (mod {spec.period})"
+            " outside the exceptions, so the scan would check nothing"
+        )
     series = _resolve_target(spec.target, limit)
-    limit = min(limit, series.order)
 
     def bad(value):
         if spec.sign is None:

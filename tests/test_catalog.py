@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -111,8 +112,11 @@ class TestNamedSeries:
 
     def test_paper_families_build_without_dense_inversion(self, count_kernel_calls,
                                                           monkeypatch):
-        # A, B, C, D, c and d are theta quotients: one Miller power each and
-        # sparse steps, with no Newton inversion and no Euler-sum Pochhammer
+        # A, B, C, D, c and d are theta quotients built by sparse kernels
+        # alone, with no Euler-sum Pochhammer: A and B by one Miller power
+        # and five sparse products each, C from B and D from A by one sparse
+        # product and one sparse division, c and d by one sparse division
+        # of a theta series
         catalog.clear_cache()
         sums = []
         pochhammer_inf = qfunctions.pochhammer_inf
@@ -121,9 +125,18 @@ class TestNamedSeries:
         calls = count_kernel_calls()
         for tag in ("A", "B", "C", "D", "c", "d"):
             assert named_series(tag, 3000).order == 3000
-        assert calls.count("invert_trunc") == 0
+        assert Counter(calls) == {"sparse_power": 2, "sparse_mul": 12, "sparse_div": 4}
         assert sums == []
-        assert "sparse_power" in calls and "sparse_mul" in calls
+        catalog.clear_cache()
+
+    def test_theta_part_is_served_by_a_cached_product(self, count_kernel_calls):
+        # 5*q*R(q)^5 is 5*q times the theta quotient B, which is cached
+        catalog.clear_cache()
+        b = named_series("B", 3000)
+        calls = count_kernel_calls()
+        value = dsl.evaluate(dsl.parse("5*q*R(q)^5"), 3000)
+        assert calls == []
+        assert list(value.coeffs) == [0] + [5 * x for x in b.coeffs[:2999]]
         catalog.clear_cache()
 
     def test_concurrent_reads(self, count_kernel_calls):

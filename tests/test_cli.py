@@ -261,6 +261,22 @@ class TestScans:
                           "--residue", "7", "--sign", "neg")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--expr", "R(q)", "--period", "10", "--residue", "7", "--max-n", "5",
+         "--sign", "pos"),
+        ("check-congruence", "--series", "A", "--period", "9", "--residue", "4",
+         "--max-n", "3", "--mod", "3"),
+        ("scan", "--series", "C", "--period", "5", "--residue", "0", "--max-n", "5",
+         "--sign", "neg", "--exceptions", "0"),
+    ])
+    def test_vacuous_scan_exits_2_before_building(self, count_kernel_calls, capsys, argv):
+        dsl.clear_cache()
+        calls = count_kernel_calls()
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "so the scan would check nothing" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestPaperSuite:
     def test_text_output_is_pinned(self):

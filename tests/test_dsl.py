@@ -1,5 +1,7 @@
 """Identity DSL: parsing, unparsing, evaluation, manifests."""
 
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -415,6 +417,32 @@ class TestThetaQuotientEngine:
         order = 30
         # the same series, or the same EvaluationError
         assert evaluate_fresh(tree, order) == oracle_fresh(tree, order)
+
+    @given(product_trees, st.integers(1, 6), st.sampled_from([9, 30, 47]))
+    @example(parse("R(q)^5/R(q^5)"), 2, 47)  # C after B: starts from B
+    @example(parse("R(q)^5/R(q^5)"), 2, 9)  # B to fewer terms than C needs: unused
+    @example(parse("5*q*R(q)^5*poch(1,7)"), 2, 30)  # the theta part is B
+    @settings(max_examples=150, deadline=None)
+    def test_results_do_not_depend_on_the_cache(self, tree, size, warm):
+        # cache the product of the first ``size`` bases of the tree's theta
+        # part, in the engine's ranking, to ``warm`` terms: more than the
+        # request needs, so the build may start from it, or fewer, so it
+        # must not
+        order = 30
+        expected = evaluate_fresh(tree, order)
+        product = dsl.lower(tree)
+        try:
+            if product is not None and product.thetas:
+                bases = sorted(product.thetas, key=dsl._pivot_key, reverse=True)[:size]
+                evaluate(functools.reduce(Mul, [
+                    Pow(Theta(spec.sign_a, spec.r, spec.sign_b, spec.s), e)
+                    for spec, e in bases]), warm)
+            value = evaluate(tree, order)
+        except EvaluationError as exc:
+            value = str(exc)
+        finally:
+            dsl.clear_cache()
+        assert value == expected == oracle_fresh(tree, order)
 
     def test_lowering_rules(self):
         f = qfunctions.ThetaSpec

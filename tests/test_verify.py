@@ -162,6 +162,22 @@ class TestScan:
         with pytest.raises(ValueError):
             ScanSpec(name="x", target="A", period=5, residue=0, divisor=1)
 
+    @pytest.mark.parametrize("target, residue, exceptions, max_n", [
+        ("A", 4, (), 3),               # the progression starts at max_n or later
+        (parse("R(q)"), 7, (), 5),
+        ("C", 0, (0,), 5),             # its one index below max_n is excepted
+        (Series([1, 2, 3]), 1, (1,), 100),  # the Series is shorter than max_n
+    ])
+    def test_vacuous_scan_is_refused_before_building(self, count_kernel_calls, target,
+                                                     residue, exceptions, max_n):
+        spec = ScanSpec(name="x", target=target, period=9, residue=residue,
+                        divisor=3, exceptions=exceptions, max_n=max_n)
+        dsl.clear_cache()
+        calls = count_kernel_calls()
+        with pytest.raises(ValueError, match="would check nothing"):
+            scan(spec)
+        assert calls == []
+
 
 class TestPeriodCheck:
     def test_constant_series(self):
