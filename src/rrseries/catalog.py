@@ -56,11 +56,16 @@ _NODES = {tag: dsl.parse(text) for tag, text in DEFINITIONS.items()}
 CONJECTURAL_SIGNS = {("D", 5, 1): "+"}
 
 
-def named_series(tag, order):
-    """Catalog lookup: the series ``tag`` truncated to ``order``."""
+def node(tag):
+    """The expression tree of ``tag``."""
     if tag not in _NODES:
         raise SpecOutOfRange(f"unknown series tag {tag!r}")
-    return dsl.evaluate(_NODES[tag], order)
+    return _NODES[tag]
+
+
+def named_series(tag, order):
+    """Catalog lookup: the series ``tag`` truncated to ``order``."""
+    return dsl.evaluate(node(tag), order)
 
 
 def clear_cache():

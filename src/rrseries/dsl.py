@@ -37,6 +37,7 @@ densely.  Every value is exact; a congruence mod m is checked on the
 exact value, reduced at the end.
 """
 
+import functools
 import operator
 import re
 import threading
@@ -163,6 +164,12 @@ MAX_DEPTH = 100
 # adds one level per operator without any nesting in the text.
 MAX_TREE_DEPTH = 200
 
+# Distinct texts whose trees ``parse`` keeps, least recently used out first.
+# A long-lived caller sends the same few texts again and again; a repeated
+# text costs one dict lookup and returns the tree object that already keys
+# its series in the evaluator's cache.
+PARSE_CACHE_SIZE = 1024
+
 # Longest integer literal the parser accepts: CPython's default limit on
 # int/str conversion, so a literal never fails with a bare ValueError.
 MAX_LITERAL_DIGITS = 4300
@@ -171,8 +178,8 @@ MAX_LITERAL_DIGITS = 4300
 # MAX_ORDER bounds the order any node is evaluated at (a dissection child
 # needs t times its parent's order); it sits far above the orders the suite
 # and the paper checks use (at most 20000) and keeps a series of 10^9 terms
-# from being allocated.  MAX_EXPONENT bounds |k| in e^k, the number of
-# squarings one power makes.
+# from being allocated.  MAX_EXPONENT bounds |k| in e^k, and the product of
+# the exponents of nested powers, which multiply coefficient sizes.
 MAX_ORDER = 1_000_000
 MAX_EXPONENT = 1_000_000
 
@@ -419,8 +426,14 @@ class _Parser:
         return neg, t
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text):
-    """Parse an expression; raises :class:`ParseError` with line/column."""
+    """Parse an expression; raises :class:`ParseError` with line/column.
+
+    Memoized by text (at most PARSE_CACHE_SIZE texts): a repeated text
+    returns the same tree, which is safe to share because every node is
+    frozen.  An error is never memoized; a bad text raises every time.
+    """
     parser = _Parser(text)
     node = parser.parse_expr()
     parser.expect("end")
@@ -538,8 +551,10 @@ MAX_SPARSE_STEPS = 16
 
 
 def clear_cache():
+    """Empty the evaluator's cache and the parse memo."""
     with _eval_lock:
         _eval_cache.clear()
+    parse.cache_clear()
 
 
 def evaluate(node, order):
@@ -590,7 +605,7 @@ def _evaluate(node, order, path):
     if value is not None:
         return value
     if not path:
-        _check_budget(node, order)
+        check_budget(node, order)
     value = _compute(node, order, path)
     if value.order != order:
         raise AssertionError(
@@ -599,27 +614,37 @@ def _evaluate(node, order, path):
     return _store(node, value)
 
 
-def _check_budget(node, order):
-    """Raise BudgetExceeded if evaluating ``node`` to ``order`` would pass the budget."""
+def check_budget(node, order, power=1):
+    """Raise BudgetExceeded if evaluating ``node`` to ``order`` would pass the budget.
+
+    :func:`evaluate` runs it first; it builds nothing, so a caller can run
+    it on everything it will evaluate before it evaluates any.  ``power``
+    is the product of the |exponents| of the powers around ``node`` (a
+    zero counting as 1, since the base is still built), so (e^j)^k counts
+    as the exponent j*k it amounts to.
+    """
     if order > MAX_ORDER:
         raise BudgetExceeded(
             f"{unparse(node)} needs order {order}, above the budget of {MAX_ORDER}"
         )
     if isinstance(node, Pow):
-        if abs(node.exponent) > MAX_EXPONENT:
+        outer, power = power, power * max(abs(node.exponent), 1)
+        if power > MAX_EXPONENT:
+            around = f", raised to {outer} by the powers around it," if outer > 1 else ""
             raise BudgetExceeded(
-                f"exponent {node.exponent} in {unparse(node)} is above the budget of {MAX_EXPONENT}"
+                f"exponent {node.exponent} in {unparse(node)}{around} is above the budget"
+                f" of {MAX_EXPONENT}"
             )
-        _check_budget(node.base, order)
+        check_budget(node.base, order, power)
     elif isinstance(node, Dissect):
-        _check_budget(node.child, max(node.t, 1) * order)
+        check_budget(node.child, max(node.t, 1) * order, power)
     elif isinstance(node, Dilate):
-        _check_budget(node.child, -(-order // max(node.t, 1)))
+        check_budget(node.child, -(-order // max(node.t, 1)), power)
     elif isinstance(node, (Add, Sub, Mul, Div)):
-        _check_budget(node.left, order)
-        _check_budget(node.right, order)
+        check_budget(node.left, order, power)
+        check_budget(node.right, order, power)
     elif isinstance(node, (Neg, NegQ)):
-        _check_budget(node.child, order)
+        check_budget(node.child, order, power)
 
 
 def _dilate_to(series, t, order):

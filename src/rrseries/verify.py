@@ -97,11 +97,7 @@ def scan(spec, order=None, report_only=False):
     limit = spec.max_n if order is None else order
     if isinstance(spec.target, Series):
         limit = min(limit, spec.target.order)
-    if all(n in spec.exceptions for n in range(spec.residue, limit, spec.period)):
-        raise ValueError(
-            f"{spec.name}: no index n < {limit} with n = {spec.residue} (mod {spec.period})"
-            " outside the exceptions, so the scan would check nothing"
-        )
+    check_not_vacuous(spec, limit)
     series = _resolve_target(spec.target, limit)
 
     def bad(value):
@@ -115,6 +111,16 @@ def scan(spec, order=None, report_only=False):
         None,
     )
     return make_report(spec.name, violation, limit, start, report_only)
+
+
+def check_not_vacuous(spec, limit):
+    """Raise ValueError if ``spec`` has no index below ``limit`` on its
+    progression outside its exceptions: a scan of it would check nothing."""
+    if all(n in spec.exceptions for n in range(spec.residue, limit, spec.period)):
+        raise ValueError(
+            f"{spec.name}: no index n < {limit} with n = {spec.residue} (mod {spec.period})"
+            " outside the exceptions, so the scan would check nothing"
+        )
 
 
 def check_period_args(period, prefix, order):
@@ -310,13 +316,21 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
     congruence scans, and linking relations below ``scan_order``; the
     partition-oracle cross-checks; sign periodicity of three further
     product families; and the open conjectures as report-only items.
+
+    Every scan is first checked against vacuity and the evaluation
+    budget, so a ``scan_order`` that one scan would refuse stops the run
+    before anything is built.
     """
     if manifest_path is None:
         manifest_path = default_manifest_path()
+    sign_specs = _sign_scan_specs(scan_order)
+    congruence_specs = _congruence_scan_specs(scan_order)
+    conjecture_specs = _conjecture_scan_specs(scan_order)
+    for spec in sign_specs + congruence_specs + conjecture_specs:
+        check_not_vacuous(spec, spec.max_n)
+        dsl.check_budget(catalog.node(spec.target), spec.max_n)
     reports = verify_manifest(manifest_path, order)
-    for spec in _sign_scan_specs(scan_order):
-        reports.append(scan(spec))
-    for spec in _congruence_scan_specs(scan_order):
+    for spec in sign_specs + congruence_specs:
         reports.append(scan(spec))
     reports.extend(catalog.linking_relations(scan_order))
     reports.extend(_oracle_reports(300, min(1000, scan_order)))
@@ -327,7 +341,7 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
             period_check(series, m, prefix=scan_order // 2,
                          name=f"sign periodicity of F({m},{2*r},{r}), period {m}")
         )
-    for spec in _conjecture_scan_specs(scan_order):
+    for spec in conjecture_specs:
         reports.append(scan(spec, report_only=True))
     return reports
 

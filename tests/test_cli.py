@@ -71,6 +71,13 @@ class TestExpand:
         assert "above the budget" in capsys.readouterr().err
         assert calls == []
 
+    def test_nested_power_budget_exits_2_before_building(self, count_kernel_calls, capsys):
+        calls = count_kernel_calls()
+        code, out = run_cli("expand", "((2+q)^1000000)^1000000", "-N", "2")
+        assert (code, out) == (2, "")
+        assert "raised to 1000000 by the powers around it" in capsys.readouterr().err
+        assert calls == []
+
     def test_parse_error_exits_2(self, capsys):
         code, _ = run_cli("expand", "dissect(", "-N", "4")
         assert code == 2
@@ -286,6 +293,20 @@ class TestPaperSuite:
         code, out = run_cli("paper-suite", "-N", "300", "--scan-n", "1000")
         assert code == 0
         assert out == golden.read_text(encoding="utf-8")
+
+
+    @pytest.mark.parametrize("order, scan_n, message", [
+        ("500", "20", "conjecture: C(32n+28) = 0 (mod 8): no index n < 20 with n = 28 (mod 32)"),
+        ("300", "2000000", "R(q)^-5 needs order 2000000, above the budget of 1000000"),
+    ])
+    def test_bad_scan_order_exits_2_before_building(self, count_kernel_calls, capsys,
+                                                     order, scan_n, message):
+        dsl.clear_cache()
+        calls = count_kernel_calls()
+        code, out = run_cli("paper-suite", "-N", order, "--scan-n", scan_n)
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
+        assert calls == []
 
 
 class TestEntryPoint:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrseries import dsl, qfunctions
+from rrseries import catalog, dsl, qfunctions
 from rrseries.dsl import (
     Add,
     Dilate,
@@ -182,6 +182,47 @@ class TestParse:
             parse(wrapped)
             with pytest.raises(ParseError):
                 parse(f"negq({wrapped})")
+
+
+class TestParseMemo:
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """The texts ``_tokenize`` is called on, from a cleared memo on."""
+        dsl.clear_cache()
+        calls = []
+        tokenize = dsl._tokenize
+        monkeypatch.setattr(dsl, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+        return calls
+
+    def test_repeated_text_returns_the_same_tree_untokenized(self, tokenized):
+        text = "dissect(1/R(q)^5, 16, 13)"
+        tree = parse(text)
+        assert parse(text) is tree
+        assert tokenized == [text]
+        assert parse(" " + text) == tree  # another text: parsed on its own
+        assert tokenized == [text, " " + text]
+
+    def test_errors_are_never_memoized(self, tokenized):
+        for _ in range(3):
+            with pytest.raises(ParseError) as info:
+                parse("1 + $")
+            assert (info.value.line, info.value.column) == (1, 5)
+        assert tokenized == ["1 + $"] * 3
+        assert parse.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self, tokenized):
+        for i in range(dsl.PARSE_CACHE_SIZE + 50):
+            parse(f"q^{i}")
+        assert parse.cache_info().currsize <= dsl.PARSE_CACHE_SIZE
+        parse("q^0")  # the oldest text was evicted
+        assert len(tokenized) == dsl.PARSE_CACHE_SIZE + 51
+
+    def test_clear_cache_empties_the_memo(self):
+        for clear in (dsl.clear_cache, catalog.clear_cache):
+            parse("f1*f2")
+            assert parse.cache_info().currsize > 0
+            clear()
+            assert parse.cache_info().currsize == 0
 
 
 EXPRESSIONS = [
@@ -477,6 +518,10 @@ class TestBudget:
         ("q", dsl.MAX_ORDER + 1),
         ("(1+q)^1000001", 5),
         ("f1*(2+q)^-1000001", 5),
+        # nested powers multiply their exponents
+        ("(2^1000000)^1000000", 2),
+        ("((2+q)^1000000)^1000000", 2),
+        ("dissect((f1*(1+q)^-1001)^1000, 2, 0)", 2),
     ])
     def test_refused_before_any_kernel_call(self, count_kernel_calls, text, order):
         calls = count_kernel_calls()
