@@ -51,11 +51,6 @@ TAGS = tuple(DEFINITIONS)
 
 _NODES = {tag: dsl.parse(text) for tag, text in DEFINITIONS.items()}
 
-# No sign is asserted for D(5n+1); it is conjecturally positive and is
-# handled by the report-only scanner, not the theorem scans.
-CONJECTURAL_SIGNS = {("D", 5, 1): "+"}
-
-
 def node(tag):
     """The expression tree of ``tag``."""
     if tag not in _NODES:

@@ -21,9 +21,9 @@ A manifest is a UTF-8 line-oriented file of identity records:
     # comment
     [name] (mod m)? : <lhs-expr> == <rhs-expr> @ anchor-text
 
-Evaluation lowers every product subtree (``*``, ``/``, ``^``, unary
-minus, ``dilate``, ``negq`` over f_k, poch, theta and the named
-functions) to one normal form, a :class:`Product`
+Evaluation lowers every product subtree (integers, ``q``, f_k, poch,
+theta and the named functions under ``*``, ``/``, ``^``, unary minus,
+``dilate`` and ``negq``) to one normal form, a :class:`Product`
 
     c * q^k * prod f(+-q^r, +-q^s)^e * prod poch(a,m)^e,
 
@@ -31,10 +31,10 @@ whose theta bases (r, s >= 1) are sparse series with constant term 1;
 only a Pochhammer symbol without a partner poch(m-a,m) stays a poch.
 A Product is built by the sparse kernels of ``_backend``: one base
 raised by Miller's recurrence, every other unit of exponent one sparse
-product or quotient.  Sums, dissections, finite products, theta atoms
-with a zero exponent and unpaired Pochhammer symbols are evaluated
-densely.  Every value is exact; a congruence mod m is checked on the
-exact value, reduced at the end.
+product or quotient.  Sums, dissections, finite products and the
+unpaired Pochhammer symbols are evaluated densely.  Every value is
+exact; a congruence mod m is checked on the exact value, reduced at the
+end.
 """
 
 import functools
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _backend, qfunctions
-from .errors import (BudgetExceeded, EvaluationError, ManifestError, NonUnitConstantTerm,
-                     ParseError, UnknownSymbol)
+from .errors import (BudgetExceeded, EvaluationError, InvalidTheta, ManifestError,
+                     NonUnitConstantTerm, ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
 from .series import Series
 
@@ -82,12 +82,8 @@ class PochFin:
     n: int
 
 
-@dataclass(frozen=True)
-class Theta:
-    sign_a: int
-    r: int
-    sign_b: int
-    s: int
+# The atom theta(sa,r,sb,s) is the spec of f(sa*q^r, sb*q^s).
+Theta = ThetaSpec
 
 
 @dataclass(frozen=True)
@@ -357,12 +353,11 @@ class _Parser:
                 self.fail("pochfin(a,m,n) needs a >= 1, m >= 1 and n >= 0", tok)
             return PochFin(a, m, n)
         if name == "theta":
-            sa, r, sb, s = self.int_args(4)
-            if sa not in (1, -1) or sb not in (1, -1):
-                self.fail("theta signs must be 1 or -1", tok)
-            if r < 0 or s < 0:
-                self.fail("theta exponents must be >= 0", tok)
-            return Theta(sa, r, sb, s)
+            args = self.int_args(4)
+            try:
+                return Theta(*args)
+            except (ValueError, InvalidTheta) as exc:
+                self.fail(str(exc), tok)
         if name in FUN_NAMES:
             neg, t = self.parse_q_arg()
             return Fun(name, neg, t)
@@ -535,9 +530,6 @@ _eval_lock = threading.Lock()
 
 _RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
-# Nodes whose subtree is lowered to a Product when it is a theta quotient.
-_PRODUCT_NODES = (Fun, Mul, Div, Pow, Neg, Dilate, NegQ)
-
 # A base of an exact product other than the one raised by Miller's
 # recurrence is folded in by one sparse step per unit of its exponent up to
 # this many; beyond, it gets a Miller power of its own and one dense
@@ -566,11 +558,12 @@ def evaluate(node, order):
     Every node's longest result is memoized and serves any lower order
     by truncation; series are immutable so the cache is safe to share.
 
-    A product subtree is lowered to its normal form c*q^k*prod theta^e
-    (:func:`lower`) and built from sparse theta series; sums,
-    dissections, finite products and theta atoms with a zero exponent
-    are built densely, and an unpaired poch(a,m) enters its product as
-    one dense factor.
+    Every node that :func:`lower` takes to its normal form
+    c*q^k*prod theta^e is built from sparse theta series, atoms
+    included, so ``f3`` and ``theta(-1,3,-1,6)`` share one cache entry.
+    Where ``lower`` gives None (a sum, a dissection, a finite product, a
+    division by a non-unit) the node is built densely from its children,
+    and an unpaired poch(a,m) enters its product as one dense factor.
 
     A division or negative power needs the constant term of its
     denominator to be +1 or -1.  A tree that needs an order above
@@ -621,30 +614,39 @@ def check_budget(node, order, power=1):
     it on everything it will evaluate before it evaluates any.  ``power``
     is the product of the |exponents| of the powers around ``node`` (a
     zero counting as 1, since the base is still built), so (e^j)^k counts
-    as the exponent j*k it amounts to.
+    as the exponent j*k it amounts to.  A power's coefficients grow by
+    about that exponent times the bits of its base's integers, so the
+    exponent is counted times the bit length of the largest integer
+    literal in the base: (2+q)^1000000 is refused, (1+q)^1000000 is not.
+
+    Returns that bit length for ``node`` (1 when it holds no literal).
     """
     if order > MAX_ORDER:
         raise BudgetExceeded(
             f"{unparse(node)} needs order {order}, above the budget of {MAX_ORDER}"
         )
+    if isinstance(node, IntLit):
+        return max(node.value.bit_length(), 1)
     if isinstance(node, Pow):
         outer, power = power, power * max(abs(node.exponent), 1)
-        if power > MAX_EXPONENT:
+        bits = check_budget(node.base, order, power)
+        if power * bits > MAX_EXPONENT:
             around = f", raised to {outer} by the powers around it," if outer > 1 else ""
+            width = f", times the {bits} bits of its largest integer," if bits > 1 else ""
             raise BudgetExceeded(
-                f"exponent {node.exponent} in {unparse(node)}{around} is above the budget"
-                f" of {MAX_EXPONENT}"
+                f"exponent {node.exponent} in {unparse(node)}{around}{width} is above the"
+                f" budget of {MAX_EXPONENT}"
             )
-        check_budget(node.base, order, power)
-    elif isinstance(node, Dissect):
-        check_budget(node.child, max(node.t, 1) * order, power)
-    elif isinstance(node, Dilate):
-        check_budget(node.child, -(-order // max(node.t, 1)), power)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        check_budget(node.left, order, power)
-        check_budget(node.right, order, power)
-    elif isinstance(node, (Neg, NegQ)):
-        check_budget(node.child, order, power)
+        return bits
+    if isinstance(node, Dissect):
+        return check_budget(node.child, max(node.t, 1) * order, power)
+    if isinstance(node, Dilate):
+        return check_budget(node.child, -(-order // max(node.t, 1)), power)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return max(check_budget(node.left, order, power), check_budget(node.right, order, power))
+    if isinstance(node, (Neg, NegQ)):
+        return check_budget(node.child, order, power)
+    return 1
 
 
 def _dilate_to(series, t, order):
@@ -665,23 +667,15 @@ def _inverse(node, value, path, verb):
 
 
 def _compute(node, order, path):
-    if isinstance(node, _PRODUCT_NODES):
-        product = lower(node)
-        if product is not None:
-            return _evaluate_product(product, order, path)
-    if isinstance(node, IntLit):
-        return Series.constant(node.value, order)
-    if isinstance(node, Q):
-        return Series.monomial(1, 1, order)
-    if isinstance(node, F):
-        return qfunctions.euler_f(node.k, order)
+    # an unpaired poch enters a Product as this dense factor, so it is
+    # built here and never lowered to a Product of itself
     if isinstance(node, Poch):
         return qfunctions.pochhammer_inf(node.a, node.m, order)
+    product = lower(node)
+    if product is not None:
+        return _evaluate_product(product, order, path)
     if isinstance(node, PochFin):
         return qfunctions.pochhammer_fin(node.a, node.m, node.n, order)
-    if isinstance(node, Theta):
-        spec = ThetaSpec(node.sign_a, node.r, node.sign_b, node.s)
-        return qfunctions.theta_general(spec, order)
     if type(node) in _RING_OPS:
         left = _evaluate(node.left, order, path + ("left",))
         right = _evaluate(node.right, order, path + ("right",))
@@ -748,17 +742,18 @@ def lower(node):
 
     The rules: ``f_k`` is f(-q^k, -q^(2k)); a pair poch(a,m)*poch(m-a,m)
     is f(-q^a, -q^(m-a))/f_m, poch(m,m) is f_m and poch(a,2a) is
-    f_a/f_(2a); phi, psi, chi, G, H and R are the theta quotients of
-    ``_FUN_DEFINITIONS``; a dilation scales every exponent, ``negq``
+    f_a/f_(2a); a theta with a zero exponent is f(1, b) = 2 f(b, b^3)
+    or f(-1, b) = 0; phi, psi, chi, G, H and R are the theta quotients
+    of ``_FUN_DEFINITIONS``; a dilation scales every exponent, ``negq``
     flips signs by the parity of the exponents, ``q`` adds to k and an
     integer multiplies c.
 
     None when the tree holds a node that is no product (a sum, a
-    dissection, a finite product, a theta atom with a zero exponent), an
-    unpaired poch under ``negq``, a dilation factor below 1, or a
-    division or negative power whose denominator has a constant term
-    other than +1 or -1: the dense path evaluates those, and raises the
-    same errors as it always has.
+    dissection, a finite product), an unpaired poch under ``negq``, a
+    dilation factor below 1, or a division or negative power whose
+    denominator has a constant term other than +1 or -1, as f(+-1, b)
+    has: the dense path evaluates those, and raises the same errors as
+    it always has.
     """
     parts = _lower_parts(node)
     if parts is None:
@@ -795,10 +790,13 @@ def _lower_parts(node):
         return 1, 0, {_euler(node.k): 1}, {}
     if isinstance(node, Poch):
         return 1, 0, {}, {(node.a, node.m): 1}
-    if isinstance(node, Theta):
-        if node.r < 1 or node.s < 1:
-            return None
-        return 1, 0, {ThetaSpec(node.sign_a, node.r, node.sign_b, node.s): 1}, {}
+    if isinstance(node, ThetaSpec):
+        spec = node.canonical()
+        if spec.r:
+            return 1, 0, {spec: 1}, {}
+        # f(1, b) = 2 f(b, b^3) and f(-1, b) = 0 (Berndt, Ramanujan's
+        # Notebooks III, ch. 16, Entry 18)
+        return 1 + spec.sign_a, 0, {ThetaSpec(spec.sign_b, spec.s, spec.sign_b, 3 * spec.s): 1}, {}
     if isinstance(node, Fun):
         parts = _lower_parts(_FUN_DEFINITIONS[node.name])
         return _dilate_parts(_negate_parts(parts) if node.neg else parts, node.t)
@@ -986,7 +984,6 @@ class IdentityRecord:
     rhs: object
     modulus: int | None = None
     anchor: str = ""
-    certified_order: int = 0
 
     @property
     def is_congruence(self):

@@ -1,11 +1,12 @@
 """Constructors for the classical q-objects.
 
-Pochhammer products (q^a; q^m)_inf and their finite versions, Euler
-products f_k = (q^k; q^k)_inf, and Ramanujan's theta function f(a, b)
-with its named specializations phi, psi, chi.  A :class:`ThetaSpec`
-with both exponents >= 1 is a base of the evaluator's theta quotients:
-``theta_terms`` gives its few nonzero terms, and its ``dilate`` and
-``negate_q`` follow the substitutions q -> q^t and q -> -q.
+Pochhammer products (q^a; q^m)_inf and their finite versions, and
+Ramanujan's theta function f(a, b) with its specializations phi, psi,
+chi and the Euler products f_k = (q^k; q^k)_inf = f(-q^k, -q^(2k)).
+A :class:`ThetaSpec` with both exponents >= 1 is a base of the
+evaluator's theta quotients: ``theta_terms`` gives its few nonzero
+terms, and its ``dilate`` and ``negate_q`` follow the substitutions
+q -> q^t and q -> -q.
 
 Infinite Pochhammer products are summed by Euler's identity
 (x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k, which needs about
@@ -13,8 +14,9 @@ sqrt(2N/m) terms for (q^a; q^m)_inf to order N; finite products multiply
 in one binomial per factor and serve as the oracle for the sum.
 
 Where the literature supplies two routes to the same object (a bilateral
-sum and a triple-product form, or a pentagonal-number expansion and a
-raw product) both are implemented so they can cross-check each other.
+sum and a triple-product form, or an Euler product as a theta series and
+as a Pochhammer sum) both are implemented so they can cross-check each
+other.
 """
 
 import itertools
@@ -108,27 +110,14 @@ def signed_pochhammer_inf(sign, a, ratio_sign, m, order):
 
 
 def euler_f(k, order):
-    """f_k = (q^k; q^k)_inf via the pentagonal number expansion.
+    """f_k = (q^k; q^k)_inf, the theta series f(-q^k, -q^(2k)).
 
-    Euler: (q; q)_inf = sum_j (-1)^j q^(j(3j-1)/2) over all integers j,
-    so f_k is the same sparse series with exponents scaled by k.
+    By the triple product f(-q, -q^2) = (q; q)_inf, and its bilateral sum
+    is Euler's pentagonal series sum_j (-1)^j q^(j(3j-1)/2).
     """
     if k < 1:
         raise ValueError("euler_f needs k >= 1")
-    c = [0] * order
-    j = 0
-    while True:
-        e1 = k * j * (3 * j - 1) // 2
-        e2 = k * j * (3 * j + 1) // 2
-        if e1 >= order and e2 >= order:
-            break
-        sign = 1 if j % 2 == 0 else -1
-        if e1 < order:
-            c[e1] += sign
-        if j and e2 < order:
-            c[e2] += sign
-        j += 1
-    return Series(c)
+    return theta_general(ThetaSpec(-1, k, -1, 2 * k), order)
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,6 @@ class Series:
     def one(cls, order):
         return cls([1] + [0] * (order - 1))
 
-    @classmethod
-    def constant(cls, value, order):
-        return cls([value] + [0] * (order - 1))
-
-    @classmethod
-    def monomial(cls, coefficient, exponent, order):
-        """coefficient * q^exponent, truncated to ``order``."""
-        c = [0] * order
-        if exponent < order:
-            c[exponent] = coefficient
-        return cls(c)
-
     # -- basics ------------------------------------------------------------
 
     @property

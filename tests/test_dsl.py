@@ -152,6 +152,7 @@ class TestParse:
     @pytest.mark.parametrize("text, column", [
         ("poch(0,5)", 1), ("poch(1,0)", 1), ("pochfin(0,1,2)", 1),
         ("pochfin(1,1,-1)", 1), ("q*pochfin(1,0,2)", 3), ("theta(1,-1,1,2)", 1),
+        ("theta(1,0,1,0)", 1),
     ])
     def test_bad_product_parameters_are_parse_errors(self, text, column):
         with pytest.raises(ParseError) as info:
@@ -357,9 +358,9 @@ def dense_oracle(node, order, path=()):
         return Series(coeffs + [0] * (order - len(coeffs)))
 
     if isinstance(node, IntLit):
-        return Series.constant(node.value, order)
+        return node.value * Series.one(order)
     if isinstance(node, Q):
-        return Series.monomial(1, 1, order)
+        return Series(([0, 1] + [0] * order)[:order])
     if isinstance(node, F):
         return qfunctions.euler_f(node.k, order)
     if isinstance(node, Poch):
@@ -453,6 +454,10 @@ class TestThetaQuotientEngine:
     @example(parse("f1^7*f2^-7*f3^7/f4^7"))
     @example(parse("(2*q*f1)^-1"))
     @example(parse("theta(1,0,1,2)*f1/(q/q)"))
+    # f(1, b) = 2 f(b, b^3) and f(-1, b) = 0, against the triple product
+    @example(parse("negq(theta(1,0,-1,3))^3*dilate(theta(1,2,1,0),3)^2/f1"))
+    @example(parse("dilate(negq(theta(-1,0,1,5))*f2,2)^4"))
+    @example(parse("f2/dilate(theta(1,3,1,0),2)^-2"))
     @settings(max_examples=200, deadline=None)
     def test_random_products_match_dense_oracle(self, tree):
         order = 30
@@ -496,9 +501,25 @@ class TestThetaQuotientEngine:
         assert dsl.lower(parse("-3*q^2*negq(dilate(f1*q, 3))")) == dsl.Product(
             3, 5, ((f(1, 3, -1, 6), 1),), ())
         assert dsl.lower(parse("poch(1,7)^2*poch(6,7)^5")).pochs == (((6, 7), 3),)
+        # f(1, b) = 2 f(b, b^3) and f(-1, b) = 0
+        assert dsl.lower(parse("theta(1,0,1,1)*f1")) == dsl.Product(
+            2, 0, ((f(-1, 1, -1, 2), 1), (f(1, 1, 1, 3), 1)), ())
+        assert dsl.lower(parse("f1*theta(1,2,-1,0)")) == dsl.Product(0, 0, (), ())
         for text in ("1 + q", "f1/(2*f1)", "1/q", "negq(poch(1,7))", "dilate(f1, 0)",
-                     "theta(1,0,1,1)*f1", "pochfin(1,2,3)*f1", "dissect(f1,2,0)"):
+                     "1/theta(1,0,1,1)", "pochfin(1,2,3)*f1", "dissect(f1,2,0)"):
             assert dsl.lower(parse(text)) is None, text
+
+    def test_an_atom_shares_the_entry_of_its_product(self, count_kernel_calls, monkeypatch):
+        # f3 and theta(-1,3,-1,6) lower to one Product: the second is a cache hit
+        dsl.clear_cache()
+        f3 = evaluate(parse("f3"), 40)
+        calls = count_kernel_calls()
+        theta_general = qfunctions.theta_general
+        monkeypatch.setattr(qfunctions, "theta_general",
+                            lambda *args: calls.append("theta_general") or theta_general(*args))
+        assert evaluate(parse("theta(-1,3,-1,6)"), 40) == f3
+        assert calls == []
+        dsl.clear_cache()
 
     def test_huge_exponents_stay_cheap(self, count_kernel_calls):
         # bases past MAX_SPARSE_STEPS get a Miller power and one dense product
@@ -522,6 +543,8 @@ class TestBudget:
         ("(2^1000000)^1000000", 2),
         ("((2+q)^1000000)^1000000", 2),
         ("dissect((f1*(1+q)^-1001)^1000, 2, 0)", 2),
+        # the exponent counts times the bits of the base's integers
+        ("(2+q)^1000000", 10),
     ])
     def test_refused_before_any_kernel_call(self, count_kernel_calls, text, order):
         calls = count_kernel_calls()
