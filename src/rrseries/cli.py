@@ -9,7 +9,7 @@ inputs; timing appears only in JSON reports.
 import argparse
 import sys
 
-from . import catalog, dsl, verify
+from . import dsl, verify
 from .errors import RRSeriesError
 from .report import int_text, reports_to_json, reports_to_text
 from .series import require_modulus
@@ -137,30 +137,22 @@ def cmd_scan(args, out, divisor=None):
     target, label = _target(args)
     if divisor is None:
         sign = verify.SIGN_POS if args.sign == "pos" else verify.SIGN_NEG
-        word = "> 0" if args.sign == "pos" else "< 0"
-        spec = verify.ScanSpec(
-            name=f"{label}[{args.period}n+{args.residue}] {word}",
-            target=target, period=args.period, residue=args.residue,
-            sign=sign, exceptions=args.exceptions, max_n=args.max_n,
-        )
+        claim = "> 0" if args.sign == "pos" else "< 0"
     else:
-        spec = verify.ScanSpec(
-            name=f"{label}[{args.period}n+{args.residue}] = 0 (mod {divisor})",
-            target=target, period=args.period, residue=args.residue,
-            divisor=divisor, exceptions=args.exceptions, max_n=args.max_n,
-        )
+        sign, claim = None, f"= 0 (mod {divisor})"
+    spec = verify.ScanSpec(
+        name=f"{label}[{args.period}n+{args.residue}] {claim}",
+        target=target, period=args.period, residue=args.residue, sign=sign,
+        divisor=divisor, exceptions=args.exceptions, max_n=args.max_n,
+    )
     return _emit_reports([verify.scan(spec)], args.format, out)
 
 
 def cmd_period_check(args, out):
     prefix = args.prefix if args.prefix is not None else args.max_n // 2
     verify.check_period_args(args.period, prefix, args.max_n)
-    if args.series is not None:
-        series = catalog.named_series(args.series, args.max_n)
-        label = args.series
-    else:
-        series = dsl.evaluate(dsl.parse(args.expr), args.max_n)
-        label = args.expr
+    target, label = _target(args)
+    series = verify.resolve_target(target, args.max_n)
     report = verify.period_check(
         series, args.period, prefix,
         name=f"sign periodicity of {label}, period {args.period}",

@@ -135,6 +135,10 @@ class Dilate:
     child: object
     t: int
 
+    def __post_init__(self):
+        if self.t < 1:
+            raise ValueError("dilation factor must be >= 1")
+
 
 @dataclass(frozen=True)
 class NegQ:
@@ -146,6 +150,10 @@ class Dissect:
     child: object
     t: int
     j: int
+
+    def __post_init__(self):
+        if self.t < 1 or not 0 <= self.j < self.t:
+            raise ValueError("dissection needs t >= 1 and 0 <= j < t")
 
 
 FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
@@ -353,11 +361,7 @@ class _Parser:
                 self.fail("pochfin(a,m,n) needs a >= 1, m >= 1 and n >= 0", tok)
             return PochFin(a, m, n)
         if name == "theta":
-            args = self.int_args(4)
-            try:
-                return Theta(*args)
-            except (ValueError, InvalidTheta) as exc:
-                self.fail(str(exc), tok)
+            return self.make(tok, Theta, *self.int_args(4))
         if name in FUN_NAMES:
             neg, t = self.parse_q_arg()
             return Fun(name, neg, t)
@@ -367,7 +371,7 @@ class _Parser:
             self.expect(",")
             t = self.signed_int()
             self.expect(")")
-            return self.build(tok, Dilate(child, t), child)
+            return self.build(tok, self.make(tok, Dilate, child, t), child)
         if name == "dissect":
             self.expect("(")
             child = self.parse_expr()
@@ -376,13 +380,20 @@ class _Parser:
             self.expect(",")
             j = self.signed_int()
             self.expect(")")
-            return self.build(tok, Dissect(child, t, j), child)
+            return self.build(tok, self.make(tok, Dissect, child, t, j), child)
         if name == "negq":
             self.expect("(")
             child = self.parse_expr()
             self.expect(")")
             return self.build(tok, NegQ(child), child)
         raise UnknownSymbol(f"unknown symbol {name!r}", *_line_col(self.text, tok.pos))
+
+    def make(self, tok, cls, *args):
+        """``cls(*args)``; a parameter it refuses is a :class:`ParseError` at ``tok``."""
+        try:
+            return cls(*args)
+        except (ValueError, InvalidTheta) as exc:
+            self.fail(str(exc), tok)
 
     def signed_int(self):
         negative = False
@@ -566,7 +577,9 @@ def evaluate(node, order):
     and an unpaired poch(a,m) enters its product as one dense factor.
 
     A division or negative power needs the constant term of its
-    denominator to be +1 or -1.  A tree that needs an order above
+    denominator to be +1 or -1.  A dilation or dissection out of range
+    never gets here: :class:`Dilate` and :class:`Dissect` refuse to be
+    built with one.  A tree that needs an order above
     MAX_ORDER or an exponent above MAX_EXPONENT raises
     :class:`BudgetExceeded` before anything is built.
     """
@@ -639,9 +652,9 @@ def check_budget(node, order, power=1):
             )
         return bits
     if isinstance(node, Dissect):
-        return check_budget(node.child, max(node.t, 1) * order, power)
+        return check_budget(node.child, node.t * order, power)
     if isinstance(node, Dilate):
-        return check_budget(node.child, -(-order // max(node.t, 1)), power)
+        return check_budget(node.child, -(-order // node.t), power)
     if isinstance(node, (Add, Sub, Mul, Div)):
         return max(check_budget(node.left, order, power), check_budget(node.right, order, power))
     if isinstance(node, (Neg, NegQ)):
@@ -694,18 +707,12 @@ def _compute(node, order, path):
     if isinstance(node, Neg):
         return -_evaluate(node.child, order, path + ("child",))
     if isinstance(node, Dilate):
-        if node.t < 1:
-            raise EvaluationError(f"dilation factor must be >= 1 in {unparse(node)}")
         child_order = (order + node.t - 1) // node.t
         child = _evaluate(node.child, child_order, path + ("child",))
         return _dilate_to(child, node.t, order)
     if isinstance(node, NegQ):
         return _evaluate(node.child, order, path + ("child",)).negate_q()
     if isinstance(node, Dissect):
-        if node.t < 1 or not 0 <= node.j < node.t:
-            raise EvaluationError(
-                f"dissection needs t >= 1 and 0 <= j < t in {unparse(node)}"
-            )
         child = _evaluate(node.child, node.t * order, path + ("child",))
         return child.dissect(node.t, node.j).truncate(order)
     raise TypeError(f"not an expression node: {node!r}")
@@ -749,8 +756,8 @@ def lower(node):
     integer multiplies c.
 
     None when the tree holds a node that is no product (a sum, a
-    dissection, a finite product), an unpaired poch under ``negq``, a
-    dilation factor below 1, or a division or negative power whose
+    dissection, a finite product), an unpaired poch under ``negq``, or a
+    division or negative power whose
     denominator has a constant term other than +1 or -1, as f(+-1, b)
     has: the dense path evaluates those, and raises the same errors as
     it always has.
@@ -819,7 +826,7 @@ def _lower_parts(node):
         return None if parts is None else (-parts[0],) + parts[1:]
     if isinstance(node, Dilate):
         parts = _lower_parts(node.child)
-        return None if parts is None or node.t < 1 else _dilate_parts(parts, node.t)
+        return None if parts is None else _dilate_parts(parts, node.t)
     if isinstance(node, NegQ):
         parts = _lower_parts(node.child)
         if parts is None:

@@ -110,14 +110,19 @@ def reports_to_json(reports):
 
 
 def reports_to_text(reports):
-    """Fixed-width summary table; deliberately excludes timing for determinism."""
+    """Fixed-width summary table; deliberately excludes timing for determinism.
+
+    The note is an item's evaluation error, else its first violation,
+    else its other details."""
     name_width = max([len(r.name) for r in reports] + [4])
     status_width = max([len(r.status) for r in reports] + [6])
     lines = [f"{'name':<{name_width}}  {'status':<{status_width}}  {'order':>6}  note"]
     lines.append("-" * (name_width + status_width + 16))
     for r in reports:
         note = ""
-        if r.first_violation is not None:
+        if "error" in r.detail:
+            note = f"error: {r.detail['error']}"
+        elif r.first_violation is not None:
             index, value = r.first_violation
             note = f"first violation at n={index}: {int_text(value)}"
         elif r.detail:

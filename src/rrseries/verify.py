@@ -5,6 +5,11 @@ reports are deterministic apart from timing.  Certified orders are the
 orders actually compared, never the orders requested.  Congruence records
 and divisibility scans read exact coefficients and reduce them mod m, so a
 violation reports the unreduced value.
+
+The suite's sign patterns and congruences are the rows of two claim
+tables, ``SIGN_PATTERNS`` and ``CONGRUENCES``, with their conjectured
+twins ``CONJECTURED_SIGNS`` and ``CONJECTURED_CONGRUENCES``; one builder,
+``_scan_specs``, turns every row into its scans.
 """
 
 import time
@@ -51,7 +56,7 @@ class ScanSpec:
         object.__setattr__(self, "exceptions", tuple(sorted(self.exceptions)))
 
 
-def _resolve_target(target, order):
+def resolve_target(target, order):
     """``target`` (a catalog tag, a Series or a DSL tree) to ``order`` terms."""
     if isinstance(target, str):
         return catalog.named_series(target, order)
@@ -66,7 +71,8 @@ def verify_identity(record, order):
     Equalities compare exact coefficients of both sides; congruences
     compare the exact difference with zero mod m, and a violation shows
     the unreduced difference.  Evaluation errors become a fail report
-    carrying the diagnostic, except :class:`BudgetExceeded`, which
+    carrying the diagnostic as ``detail["error"]``, which the text
+    report prints, except :class:`BudgetExceeded`, which
     propagates: the run stops with the budget's message before it builds
     anything, instead of reporting every record as failing at n = 0.
     """
@@ -98,7 +104,7 @@ def scan(spec, order=None, report_only=False):
     if isinstance(spec.target, Series):
         limit = min(limit, spec.target.order)
     check_not_vacuous(spec, limit)
-    series = _resolve_target(spec.target, limit)
+    series = resolve_target(spec.target, limit)
 
     def bad(value):
         if spec.sign is None:
@@ -171,89 +177,61 @@ def period_check(series, period, prefix, name="period check", report_only=False)
 # The standard suite
 
 
-def _sign_scan_specs(max_n):
-    """Proved sign patterns for A, B, C, D and the two degree-one families."""
-    table = [
-        ("A", 1, SIGN_POS, ()), ("A", 2, SIGN_POS, ()),
-        ("A", 3, SIGN_POS, ()), ("A", 4, SIGN_NEG, ()),
-        ("B", 1, SIGN_NEG, ()), ("B", 2, SIGN_POS, ()),
-        ("B", 3, SIGN_NEG, ()), ("B", 4, SIGN_POS, ()),
-        ("C", 0, SIGN_NEG, (0,)), ("C", 1, SIGN_NEG, ()),
-        ("C", 2, SIGN_POS, ()), ("C", 3, SIGN_NEG, ()),
-        ("C", 4, SIGN_POS, ()),
-        ("D", 0, SIGN_NEG, (0,)), ("D", 2, SIGN_POS, ()),
-        ("D", 3, SIGN_POS, ()), ("D", 4, SIGN_NEG, ()),
-        ("c", 0, SIGN_POS, ()), ("c", 1, SIGN_POS, ()),
-        ("c", 2, SIGN_NEG, (2,)), ("c", 3, SIGN_NEG, ()),
-        ("c", 4, SIGN_NEG, (4, 9)),
-        ("d", 0, SIGN_POS, ()), ("d", 1, SIGN_NEG, ()),
-        ("d", 2, SIGN_POS, ()), ("d", 3, SIGN_NEG, (3, 8, 13, 23)),
-        ("d", 4, SIGN_NEG, ()),
-    ]
+# (tag, pattern, exceptions): character r of ``pattern`` is the sign of
+# tag(5n+r), '.' where nothing is claimed.  ``exceptions`` are absolute
+# indices; each residue's scan keeps the ones congruent to it.
+SIGN_PATTERNS = (
+    ("A", ".+++-", ()), ("B", ".-+-+", ()),
+    ("C", "--+-+", (0,)), ("D", "-.++-", (0,)),
+    ("c", "++---", (2, 4, 9)), ("d", "+-+--", (3, 8, 13, 23)),
+)
+
+# (tag, period, residues, modulus): tag(period*n + r) = 0 (mod modulus) for
+# each r in ``residues``.
+CONGRUENCES = (
+    ("A", 9, (4,), 3), ("B", 9, (2,), 3),
+    ("A", 16, (13,), 4), ("B", 16, (11,), 4),
+    ("A", 15, (4, 8, 13, 14), 15), ("B", 15, (2, 6, 11, 12), 15),
+    ("C", 15, (3, 13), 30), ("D", 15, (7, 12), 30),
+)
+
+# The open sign patterns and congruences, in the same two shapes.  A(5n)
+# and B(5n) carry the constant-term exception n = 0 (A(0) = B(0) = 1), as
+# the proved C(5n) and D(5n) patterns do.
+CONJECTURED_SIGNS = (("A", "-....", (0,)), ("B", "-....", (0,)), ("D", ".+...", ()))
+
+CONJECTURED_CONGRUENCES = (
+    ("C", 27, (18,), 3), ("D", 27, (18,), 3),
+    ("C", 16, (12,), 4), ("D", 16, (12,), 4),
+    ("C", 32, (28,), 8), ("D", 32, (28,), 8),
+)
+
+
+def _scan_specs(signs, congruences, max_n, conjecture=False):
+    """One scan below ``max_n`` per claim of a sign table and a congruence
+    table, sign scans first, each named as the paper states it.  A
+    conjecture's name says so and writes its exceptions as ``n=0``, the
+    proved form as ``n in [0]``."""
+    prefix = "conjecture: " if conjecture else ""
     specs = []
-    for tag, residue, sign, exceptions in table:
-        word = "> 0" if sign == SIGN_POS else "< 0"
-        label = f"{tag}(5n+{residue}) {word}" if residue else f"{tag}(5n) {word}"
-        if exceptions:
-            label += f" except n in {list(exceptions)}"
-        specs.append(
-            ScanSpec(
-                name=label, target=tag, period=5, residue=residue,
-                sign=sign, exceptions=exceptions, max_n=max_n,
-            )
-        )
-    return specs
-
-
-def _congruence_scan_specs(max_n):
-    """The eight proved congruence families, one item per residue."""
-    table = [
-        ("A", 9, (4,), 3), ("B", 9, (2,), 3),
-        ("A", 16, (13,), 4), ("B", 16, (11,), 4),
-        ("A", 15, (4, 8, 13, 14), 15), ("B", 15, (2, 6, 11, 12), 15),
-        ("C", 15, (3, 13), 30), ("D", 15, (7, 12), 30),
-    ]
-    specs = []
-    for tag, period, residues, modulus in table:
-        for residue in residues:
-            specs.append(
-                ScanSpec(
-                    name=f"{tag}({period}n+{residue}) = 0 (mod {modulus})",
-                    target=tag, period=period, residue=residue,
-                    divisor=modulus, max_n=max_n,
-                )
-            )
-    return specs
-
-
-def _conjecture_scan_specs(max_n):
-    """Open sign patterns and congruences; all report-only.
-
-    The sign conjectures for A(5n) and B(5n) carry the constant-term
-    exception n = 0 (A(0) = B(0) = 1), matching the stated exceptions
-    of the proved C(5n) and D(5n) patterns.
-    """
-    specs = [
-        ScanSpec(name="conjecture: A(5n) < 0 except n=0", target="A",
-                 period=5, residue=0, sign=SIGN_NEG, exceptions=(0,), max_n=max_n),
-        ScanSpec(name="conjecture: B(5n) < 0 except n=0", target="B",
-                 period=5, residue=0, sign=SIGN_NEG, exceptions=(0,), max_n=max_n),
-        ScanSpec(name="conjecture: D(5n+1) > 0", target="D",
-                 period=5, residue=1, sign=SIGN_POS, max_n=max_n),
-    ]
-    table = [
-        ("C", 27, 18, 3), ("D", 27, 18, 3),
-        ("C", 16, 12, 4), ("D", 16, 12, 4),
-        ("C", 32, 28, 8), ("D", 32, 28, 8),
-    ]
-    for tag, period, residue, modulus in table:
-        specs.append(
-            ScanSpec(
-                name=f"conjecture: {tag}({period}n+{residue}) = 0 (mod {modulus})",
-                target=tag, period=period, residue=residue,
-                divisor=modulus, max_n=max_n,
-            )
-        )
+    for tag, pattern, exceptions in signs:
+        for residue, sign in enumerate(pattern):
+            if sign == ".":
+                continue
+            excepted = tuple(n for n in exceptions if n % 5 == residue)
+            term = f"{tag}(5n+{residue})" if residue else f"{tag}(5n)"
+            name = f"{prefix}{term} {'> 0' if sign == SIGN_POS else '< 0'}"
+            if excepted:
+                name += (f" except n={', '.join(map(str, excepted))}" if conjecture
+                         else f" except n in {list(excepted)}")
+            specs.append(ScanSpec(name=name, target=tag, period=5, residue=residue,
+                                  sign=sign, exceptions=excepted, max_n=max_n))
+    for tag, period, residues, modulus in congruences:
+        specs.extend(
+            ScanSpec(name=f"{prefix}{tag}({period}n+{residue}) = 0 (mod {modulus})",
+                     target=tag, period=period, residue=residue, divisor=modulus,
+                     max_n=max_n)
+            for residue in residues)
     return specs
 
 
@@ -323,15 +301,14 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
     """
     if manifest_path is None:
         manifest_path = default_manifest_path()
-    sign_specs = _sign_scan_specs(scan_order)
-    congruence_specs = _congruence_scan_specs(scan_order)
-    conjecture_specs = _conjecture_scan_specs(scan_order)
-    for spec in sign_specs + congruence_specs + conjecture_specs:
+    proved = _scan_specs(SIGN_PATTERNS, CONGRUENCES, scan_order)
+    conjectured = _scan_specs(CONJECTURED_SIGNS, CONJECTURED_CONGRUENCES, scan_order,
+                              conjecture=True)
+    for spec in proved + conjectured:
         check_not_vacuous(spec, spec.max_n)
         dsl.check_budget(catalog.node(spec.target), spec.max_n)
     reports = verify_manifest(manifest_path, order)
-    for spec in sign_specs + congruence_specs:
-        reports.append(scan(spec))
+    reports.extend(scan(spec) for spec in proved)
     reports.extend(catalog.linking_relations(scan_order))
     reports.extend(_oracle_reports(300, min(1000, scan_order)))
     reports.append(partitions.check_alpha_beta(alpha_beta_limit))
@@ -341,8 +318,7 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
             period_check(series, m, prefix=scan_order // 2,
                          name=f"sign periodicity of F({m},{2*r},{r}), period {m}")
         )
-    for spec in conjecture_specs:
-        reports.append(scan(spec, report_only=True))
+    reports.extend(scan(spec, report_only=True) for spec in conjectured)
     return reports
 
 

@@ -228,7 +228,9 @@ def test_criterion_7_alpha_beta_inequality():
 
 def test_criterion_8_conjecture_scans():
     reports = [verify.scan(spec, report_only=True)
-               for spec in verify._conjecture_scan_specs(SCAN_LIMIT)]
+               for spec in verify._scan_specs(verify.CONJECTURED_SIGNS,
+                                              verify.CONJECTURED_CONGRUENCES, SCAN_LIMIT,
+                                              conjecture=True)]
     ok = (len(reports) == 9
           and all(r.status == "report-only-pass" for r in reports))
     announce(8, f"nine conjecture scans below {SCAN_LIMIT} report-only-pass", ok)

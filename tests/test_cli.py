@@ -3,6 +3,7 @@
 import decimal
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "record 'bad', line 2: poch(a,m) needs" in capsys.readouterr().err
 
+    def test_bad_dissection_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.manifest"
+        path.write_text("[ok] : q == q\n[bad] : dissect(q,5,7) == 0\n", encoding="utf-8")
+        code, out = run_cli("verify", "--manifest", str(path), "-N", "10")
+        assert (code, out) == (2, "")
+        assert "record 'bad', line 2: dissection needs" in capsys.readouterr().err
+
+    def test_evaluation_error_is_printed(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_text("[x] : 1/(3+q) == 1\n", encoding="utf-8")
+        code, out = run_cli("verify", "--manifest", str(path), "-N", "10")
+        assert code == 1
+        assert ("error: cannot divide: constant term 3 is not a unit in Z[[q]] in 3 + q"
+                " (at denominator)") in out
+        assert "first violation" not in out
+
     def test_json_format(self, tmp_path):
         path = tmp_path / "ok.manifest"
         path.write_text("[gh] : G(q)*H(q) == f5/f1 @ product\n", encoding="utf-8")
@@ -241,6 +258,13 @@ class TestScans:
                             "--max-n", "300", "--prefix", "30")
         assert code == 0
         assert "minimal_prefix=24" in out
+
+    def test_period_check_expr_resolves_as_series(self):
+        args = ("--period", "5", "--max-n", "300", "--prefix", "30", "--format", "json")
+        (expr,) = json.loads(run_cli("period-check", "--expr", "R(q)", *args)[1])
+        (series,) = json.loads(run_cli("period-check", "--series", "d", *args)[1])
+        assert expr["detail"] == series["detail"] == {"minimal_prefix": 24, "period": 5}
+        assert expr["status"] == series["status"] == "pass"
 
     def test_period_below_one_exits_2(self, capsys):
         code, out = run_cli("period-check", "--series", "A", "--period", "0",
@@ -311,9 +335,13 @@ class TestPaperSuite:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the package's own source first, whatever the caller's PYTHONPATH
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "rrseries.cli", "expand", "q", "-N", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "0, 1, 0\n"

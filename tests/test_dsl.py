@@ -152,7 +152,8 @@ class TestParse:
     @pytest.mark.parametrize("text, column", [
         ("poch(0,5)", 1), ("poch(1,0)", 1), ("pochfin(0,1,2)", 1),
         ("pochfin(1,1,-1)", 1), ("q*pochfin(1,0,2)", 3), ("theta(1,-1,1,2)", 1),
-        ("theta(1,0,1,0)", 1),
+        ("theta(1,0,1,0)", 1), ("dilate(f1, 0)", 1), ("q*dilate(q,-2)", 3),
+        ("dissect(q,5,7)", 1), ("dissect(q,5,-1)", 1), ("dissect(q,0,0)", 1),
     ])
     def test_bad_product_parameters_are_parse_errors(self, text, column):
         with pytest.raises(ParseError) as info:
@@ -505,7 +506,7 @@ class TestThetaQuotientEngine:
         assert dsl.lower(parse("theta(1,0,1,1)*f1")) == dsl.Product(
             2, 0, ((f(-1, 1, -1, 2), 1), (f(1, 1, 1, 3), 1)), ())
         assert dsl.lower(parse("f1*theta(1,2,-1,0)")) == dsl.Product(0, 0, (), ())
-        for text in ("1 + q", "f1/(2*f1)", "1/q", "negq(poch(1,7))", "dilate(f1, 0)",
+        for text in ("1 + q", "f1/(2*f1)", "1/q", "negq(poch(1,7))",
                      "1/theta(1,0,1,1)", "pochfin(1,2,3)*f1", "dissect(f1,2,0)"):
             assert dsl.lower(parse(text)) is None, text
 
@@ -631,6 +632,14 @@ class TestManifest:
         with pytest.raises(ManifestError) as info:
             load_manifest(path)
         assert (info.value.name, info.value.line_number) == ("bad", 2)
+
+    def test_bad_dissection_names_the_record(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_text("[ok] : q == q\n[bad] : dissect(q,5,7) == 0\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert (info.value.name, info.value.line_number) == ("bad", 2)
+        assert "dissection needs t >= 1 and 0 <= j < t" in str(info.value)
 
     def test_bundled_manifest_loads_and_round_trips(self):
         from rrseries.verify import default_manifest_path

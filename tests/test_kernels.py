@@ -10,6 +10,7 @@ import random
 import pytest
 
 from rrseries import _backend, _kernels_py
+from rrseries.dsl import evaluate, parse
 from rrseries.qfunctions import ThetaSpec, theta_terms
 from rrseries.series import Series
 
@@ -166,31 +167,47 @@ def test_active_backend_is_declared():
 
 class TestInvertPaths:
     def test_steep_growth_takes_the_recurrence(self, monkeypatch):
-        # inverses growing by 10, 2.3 and about 10 bits per term
+        # a dense inverse growing by about 10 bits per term
         rng = random.Random(47)
         n = 300
-        dense = [-1] + [rng.randrange(-999, 1000) for _ in range(n - 1)]
-        for a in ([1, -1000], [1, -3, -5], dense):
-            a = a + [0] * (n - len(a))
-            assert _kernels_py._grows_steeply(_kernels_py._invert_recurrence(a, 38))
-            products = []
-            mul = _kernels_py.mul_trunc
-            with monkeypatch.context() as patch:
-                patch.setattr(_kernels_py, "mul_trunc",
-                              lambda *args: products.append(1) or mul(*args))
-                chosen = _kernels_py.invert_trunc(a, n)
-                assert products == []
-                patch.setattr(_kernels_py, "STEEP_BITS", 10**9)
-                newton = _kernels_py.invert_trunc(a, n)
-                assert products
-            assert chosen == newton == recurrence_inverse(a, n)
+        a = [-1] + [rng.randrange(-999, 1000) for _ in range(n - 1)]
+        assert _kernels_py._grows_steeply(recurrence_inverse(a, 38))
+        products = []
+        mul = _kernels_py.mul_trunc
+        monkeypatch.setattr(_kernels_py, "mul_trunc",
+                            lambda *args: products.append(1) or mul(*args))
+        chosen = _kernels_py.invert_trunc(a, n)
+        assert products == []
+        monkeypatch.setattr(_kernels_py, "STEEP_BITS", 10**9)
+        newton = _kernels_py.invert_trunc(a, n)
+        assert products
+        assert chosen == newton == recurrence_inverse(a, n)
 
     def test_slow_growth_keeps_newton(self):
         # coefficients in {-1, 0, 1}: every root has |q| > 1/2, so the inverse
         # grows by under one bit per term
         rng = random.Random(53)
         a = [1] + [rng.choice((-1, 0, 1)) for _ in range(499)]
-        assert not _kernels_py._grows_steeply(_kernels_py._invert_recurrence(a, 63))
+        assert not _kernels_py._grows_steeply(recurrence_inverse(a, 63))
+
+    @pytest.mark.parametrize("text, n", [
+        ("1 - 1000*q", 300), ("1 - 3*q - 5*q^2", 300), ("1 + q^3 - 2*q^7 + q^50", 3000),
+        # 45 nonzero terms below q^2000, and an inverse that grows slowly
+        ("dissect(f1^3,2,0)", 2000),
+    ])
+    def test_sparse_denominator_takes_the_recurrence(self, monkeypatch, text, n):
+        # fewer than INV_CUTOFF nonzero terms: the recurrence runs to the
+        # end, whatever the growth of the inverse
+        a = list(evaluate(parse(text), n).coeffs)
+        assert sum(1 for c in a if c) < INV
+        products = []
+        mul = _kernels_py.mul_trunc
+        monkeypatch.setattr(_kernels_py, "mul_trunc",
+                            lambda *args: products.append(1) or mul(*args))
+        got = _kernels_py.invert_trunc(a, n)
+        assert products == []
+        last = max(i for i, c in enumerate(a) if c)
+        assert got == recurrence_inverse(a[:last + 1], n)
 
 
 BLOCK = _kernels_py.SPARSE_BLOCK
@@ -229,7 +246,7 @@ def sparse_base(name, n):
 class TestSparseKernels:
     """Miller's power, the sparse product and the sparse quotient against the
     dense oracles: ``Series.__pow__``, ``_mul_schoolbook`` and
-    ``_invert_recurrence``, on both sides of each block edge."""
+    ``recurrence_inverse``, on both sides of each block edge."""
 
     def test_power(self, name):
         for n in SPARSE_ORDERS:
@@ -244,7 +261,7 @@ class TestSparseKernels:
         rng = random.Random(67)
         for n in SPARSE_ORDERS:
             terms, dense = sparse_base(name, n)
-            inverse = _kernels_py._invert_recurrence(dense, n)
+            inverse = recurrence_inverse(dense, n)
             for length in (1, n // 2 + 1, n, n + 3):
                 a = mixed_coeffs(rng, length, rng.choice((1, 8, 200)))
                 product = _kernels_py._mul_schoolbook(a, dense, n)
