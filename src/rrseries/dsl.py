@@ -41,10 +41,9 @@ import functools
 import operator
 import re
 import threading
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import _backend, qfunctions
+from ._record import Record
 from .errors import (BudgetExceeded, EvaluationError, InvalidTheta, ManifestError,
                      NonUnitConstantTerm, ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
@@ -54,106 +53,94 @@ from .series import Series
 # AST
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = ()
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Q:
-    pass
+class Q(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class F:
-    k: int
+class F(Record):
+    __slots__ = ()
+    _fields = ("k",)
 
 
-@dataclass(frozen=True)
-class Poch:
-    a: int
-    m: int
+class Poch(Record):
+    __slots__ = ()
+    _fields = ("a", "m")
 
 
-@dataclass(frozen=True)
-class PochFin:
-    a: int
-    m: int
-    n: int
+class PochFin(Record):
+    __slots__ = ()
+    _fields = ("a", "m", "n")
 
 
 # The atom theta(sa,r,sb,s) is the spec of f(sa*q^r, sb*q^s).
 Theta = ThetaSpec
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(Record):
     """Named function atom phi/psi/chi/G/H/R applied to (-)q^t."""
 
-    name: str
-    neg: bool
-    t: int
+    __slots__ = ()
+    _fields = ("name", "neg", "t")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Add(Record):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Sub(Record):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Mul(Record):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Div(Record):
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ()
+    _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
+class Neg(Record):
+    __slots__ = ()
+    _fields = ("child",)
 
 
-@dataclass(frozen=True)
-class Dilate:
-    child: object
-    t: int
+class Dilate(Record):
+    __slots__ = ()
+    _fields = ("child", "t")
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __new__(cls, child, t):
+        if t < 1:
             raise ValueError("dilation factor must be >= 1")
+        return Record.__new__(cls, child, t)
 
 
-@dataclass(frozen=True)
-class NegQ:
-    child: object
+class NegQ(Record):
+    __slots__ = ()
+    _fields = ("child",)
 
 
-@dataclass(frozen=True)
-class Dissect:
-    child: object
-    t: int
-    j: int
+class Dissect(Record):
+    __slots__ = ()
+    _fields = ("child", "t", "j")
 
-    def __post_init__(self):
-        if self.t < 1 or not 0 <= self.j < self.t:
+    def __new__(cls, child, t, j):
+        if t < 1 or not 0 <= j < t:
             raise ValueError("dissection needs t >= 1 and 0 <= j < t")
+        return Record.__new__(cls, child, t, j)
 
 
 FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
@@ -190,7 +177,9 @@ MAX_EXPONENT = 1_000_000
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^,])")
+# Whitespace, then one token: an integer, a name, a punctuation mark, or
+# (last group) any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^,])|(\S))")
 
 
 class _Token:
@@ -205,24 +194,14 @@ class _Token:
 def _tokenize(text):
     """Tokens with their offsets; line and column are found only for an error."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-        if m.group(1):
-            kind = "int"
-        elif m.group(2):
-            kind = "name"
-        else:
-            kind = m.group(3)
-        tokens.append(_Token(kind, m.group(0), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        token, pos = m.group(group), m.start(group)
+        if group == 4:
+            raise ParseError(f"unexpected character {token!r}", *_line_col(text, pos))
+        kind = "int" if group == 1 else "name" if group == 2 else token
+        tokens.append(_Token(kind, token, pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -438,7 +417,8 @@ def parse(text):
 
     Memoized by text (at most PARSE_CACHE_SIZE texts): a repeated text
     returns the same tree, which is safe to share because every node is
-    frozen.  An error is never memoized; a bad text raises every time.
+    an immutable tuple (a :class:`~rrseries._record.Record`).  An error
+    is never memoized; a bad text raises every time.
     """
     parser = _Parser(text)
     node = parser.parse_expr()
@@ -722,7 +702,7 @@ def _compute(node, order, path):
 # Theta-quotient normal form
 
 
-class Product(NamedTuple):
+class Product(Record):
     """c * q^k * prod theta^e * prod poch^e: the normal form of a product subtree.
 
     ``thetas`` holds sorted (ThetaSpec, e) pairs, each spec canonical with
@@ -730,13 +710,11 @@ class Product(NamedTuple):
     term 1.  ``pochs`` holds sorted ((a, m), e) pairs for the Pochhammer
     symbols (q^a; q^m)_inf that found no partner.  Every e is nonzero, k
     is >= 0, and c = 0 only in the zero product, which has no factors.
-    A tuple, so it never equals a node key of the cache.
+    A record of its own type, so it never equals a node key of the cache.
     """
 
-    c: int
-    k: int
-    thetas: tuple
-    pochs: tuple
+    __slots__ = ()
+    _fields = ("c", "k", "thetas", "pochs")
 
 
 def _euler(k):
@@ -982,15 +960,14 @@ def _pivot_key(item):
 # Identity records and manifests
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Record):
     """Named identity: lhs == rhs exactly, or lhs == rhs (mod modulus)."""
 
-    name: str
-    lhs: object
-    rhs: object
-    modulus: int | None = None
-    anchor: str = ""
+    __slots__ = ()
+    _fields = ("name", "lhs", "rhs", "modulus", "anchor")
+
+    def __new__(cls, name, lhs, rhs, modulus=None, anchor=""):
+        return Record.__new__(cls, name, lhs, rhs, modulus, anchor)
 
     @property
     def is_congruence(self):

@@ -12,19 +12,21 @@ five-tuple counts behind the alpha/beta inequality).
 """
 
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .report import make_report
 
 
-@dataclass(frozen=True)
-class PartConstraint:
-    """Parts p with p mod modulus = r come in allowed[r] colors (0 = forbidden)."""
+class PartConstraint(Record):
+    """Parts p with p mod modulus = r come in allowed[r] colors (0 = forbidden).
 
-    modulus: int
-    allowed: tuple
+    Built from a mapping {residue: colors}; ``allowed`` is the full table.
+    """
 
-    def __init__(self, modulus, allowed):
+    __slots__ = ()
+    _fields = ("modulus", "allowed")
+
+    def __new__(cls, modulus, allowed):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         table = [0] * modulus
@@ -32,8 +34,10 @@ class PartConstraint:
             if colors < 0:
                 raise ValueError("color counts must be >= 0")
             table[residue % modulus] = colors
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "allowed", tuple(table))
+        return Record.__new__(cls, modulus, tuple(table))
+
+    def __getnewargs__(self):
+        return self.modulus, dict(enumerate(self.allowed))
 
     def colors_of(self, part):
         return self.allowed[part % self.modulus]

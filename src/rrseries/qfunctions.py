@@ -21,9 +21,9 @@ other.
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import _backend
+from ._record import Record
 from .errors import InvalidTheta
 from .series import Series
 
@@ -120,22 +120,20 @@ def euler_f(k, order):
     return theta_general(ThetaSpec(-1, k, -1, 2 * k), order)
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """f(sign_a * q^r, sign_b * q^s) with monomial arguments only."""
 
-    sign_a: int
-    r: int
-    sign_b: int
-    s: int
+    __slots__ = ()
+    _fields = ("sign_a", "r", "sign_b", "s")
 
-    def __post_init__(self):
-        if self.sign_a not in (1, -1) or self.sign_b not in (1, -1):
+    def __new__(cls, sign_a, r, sign_b, s):
+        if sign_a not in (1, -1) or sign_b not in (1, -1):
             raise ValueError("theta signs must be +1 or -1")
-        if self.r < 0 or self.s < 0:
+        if r < 0 or s < 0:
             raise ValueError("theta exponents must be >= 0")
-        if self.r + self.s < 1:
+        if r + s < 1:
             raise InvalidTheta("f(a, b) needs r + s >= 1")
+        return Record.__new__(cls, sign_a, r, sign_b, s)
 
     def dilate(self, t):
         """The spec of f(a, b) at q -> q^t."""
@@ -162,16 +160,17 @@ def theta_terms(spec, order):
     Both k directions terminate because r + s >= 1.  With r, s >= 1 only
     k = 0 reaches q^0, so the first term is (0, 1).
     """
+    sa, r, sb, s = spec.sign_a, spec.r, spec.sign_b, spec.s
     c = {}
     for step in (1, -1):
         k = 0 if step == 1 else -1
         while True:
             ta = k * (k + 1) // 2
             tb = k * (k - 1) // 2
-            e = spec.r * ta + spec.s * tb
+            e = r * ta + s * tb
             if e >= order:
                 break
-            sign = (spec.sign_a if ta % 2 else 1) * (spec.sign_b if tb % 2 else 1)
+            sign = (sa if ta % 2 else 1) * (sb if tb % 2 else 1)
             c[e] = c.get(e, 0) + sign
             k += step
     return sorted((e, v) for e, v in c.items() if v)

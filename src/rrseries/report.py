@@ -1,9 +1,12 @@
-"""Verification report records shared by the catalog, engine, and CLI."""
+"""Verification report records shared by the catalog, engine, and CLI.
 
-import decimal
-import json
+``json`` and ``decimal`` are imported by the functions that use them, so a
+run that prints text pays for neither.
+"""
+
 import time
-from dataclasses import dataclass, field
+
+from ._record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -11,8 +14,7 @@ REPORT_ONLY_PASS = "report-only-pass"
 REPORT_ONLY_FAIL = "report-only-fail"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification item.
 
     ``first_violation`` is a (index, value) pair and must be present
@@ -20,12 +22,13 @@ class VerificationReport:
     (e.g. the minimal consistent prefix of a periodicity check).
     """
 
-    name: str
-    status: str
-    certified_order: int
-    first_violation: tuple | None = None
-    elapsed: float = 0.0
-    detail: dict = field(default_factory=dict)
+    __slots__ = ()
+    _fields = ("name", "status", "certified_order", "first_violation", "elapsed", "detail")
+
+    def __new__(cls, name, status, certified_order, first_violation=None, elapsed=0.0,
+                detail=None):
+        return Record.__new__(cls, name, status, certified_order, first_violation, elapsed,
+                              {} if detail is None else detail)
 
     @property
     def ok(self):
@@ -68,7 +71,7 @@ def make_report(name, violation, certified_order, start, report_only=False, deta
         certified_order=certified_order,
         first_violation=violation,
         elapsed=time.perf_counter() - start,
-        detail=detail or {},
+        detail=detail,
     )
 
 
@@ -84,13 +87,21 @@ def int_text(n):
     """Decimal digits of ``n``, exact at any size.
 
     ``str`` refuses integers past the interpreter's digit limit (4300 by
-    default), and that limit is process-wide, so it is left alone.
+    default), and that limit is process-wide, so it is left alone: such an
+    integer is written through ``decimal``.
     """
-    return str(decimal.Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
 
 
 def _json_text(value, level=0):
     """``json.dumps(value, indent=2)``, with integers of any size written exactly."""
+    import json
+
     if isinstance(value, int) and not isinstance(value, bool):
         return int_text(value)
     if isinstance(value, dict) and value:

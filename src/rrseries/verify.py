@@ -12,10 +12,11 @@ twins ``CONJECTURED_SIGNS`` and ``CONJECTURED_CONGRUENCES``; one builder,
 ``_scan_specs``, turns every row into its scans.
 """
 
+import os
 import time
-from dataclasses import dataclass
 
 from . import catalog, dsl, partitions
+from ._record import Record
 from .errors import BudgetExceeded, RRSeriesError
 from .report import first_violation, make_report
 from .series import Series
@@ -24,8 +25,7 @@ SIGN_POS = "+"
 SIGN_NEG = "-"
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     """Sign or divisibility scan along the progression t*n + r.
 
     ``target`` is a DSL expression tree or a catalog tag.  ``sign`` is
@@ -35,25 +35,21 @@ class ScanSpec:
     scans unless excepted.
     """
 
-    name: str
-    target: object
-    period: int
-    residue: int
-    sign: str | None = None
-    divisor: int | None = None
-    exceptions: tuple = ()
-    max_n: int = 2000
+    __slots__ = ()
+    _fields = ("name", "target", "period", "residue", "sign", "divisor", "exceptions", "max_n")
 
-    def __post_init__(self):
-        if not 0 <= self.residue < self.period:
-            raise ValueError(f"residue {self.residue} not in [0, {self.period})")
-        if (self.sign is None) == (self.divisor is None):
+    def __new__(cls, name, target, period, residue, sign=None, divisor=None, exceptions=(),
+                max_n=2000):
+        if not 0 <= residue < period:
+            raise ValueError(f"residue {residue} not in [0, {period})")
+        if (sign is None) == (divisor is None):
             raise ValueError("exactly one of sign/divisor must be given")
-        if self.sign is not None and self.sign not in (SIGN_POS, SIGN_NEG):
+        if sign is not None and sign not in (SIGN_POS, SIGN_NEG):
             raise ValueError("sign must be '+' or '-'")
-        if self.divisor is not None and self.divisor < 2:
+        if divisor is not None and divisor < 2:
             raise ValueError("divisor must be >= 2")
-        object.__setattr__(self, "exceptions", tuple(sorted(self.exceptions)))
+        return Record.__new__(cls, name, target, period, residue, sign, divisor,
+                              tuple(sorted(exceptions)), max_n)
 
 
 def resolve_target(target, order):
@@ -106,14 +102,16 @@ def scan(spec, order=None, report_only=False):
     check_not_vacuous(spec, limit)
     series = resolve_target(spec.target, limit)
 
+    sign, divisor, exceptions = spec.sign, spec.divisor, spec.exceptions
+
     def bad(value):
-        if spec.sign is None:
-            return value % spec.divisor != 0
-        return value <= 0 if spec.sign == SIGN_POS else value >= 0
+        if sign is None:
+            return value % divisor != 0
+        return value <= 0 if sign == SIGN_POS else value >= 0
 
     violation = next(
         ((n, series[n]) for n in range(spec.residue, limit, spec.period)
-         if n not in spec.exceptions and bad(series[n])),
+         if n not in exceptions and bad(series[n])),
         None,
     )
     return make_report(spec.name, violation, limit, start, report_only)
@@ -323,6 +321,4 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
 
 
 def default_manifest_path():
-    from importlib.resources import files
-
-    return str(files("rrseries").joinpath("data/identities.manifest"))
+    return os.path.join(os.path.dirname(__file__), "data", "identities.manifest")
