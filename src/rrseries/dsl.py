@@ -44,13 +44,17 @@ import threading
 
 from . import _backend, qfunctions
 from ._record import Record
-from .errors import (BudgetExceeded, EvaluationError, InvalidTheta, ManifestError,
-                     NonUnitConstantTerm, ParseError, UnknownSymbol)
+from .errors import (BudgetExceeded, EvaluationError, InvalidModulus, InvalidTheta,
+                     ManifestError, NonUnitConstantTerm, ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
-from .series import Series
+from .series import Series, require_modulus
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# A node whose parameters have a range checks them when it is built, so a
+# tree from the Python API is refused exactly where the parser, which
+# builds every node through ``_Parser.make``, reports a ParseError.
 
 
 class IntLit(Record):
@@ -66,19 +70,37 @@ class F(Record):
     __slots__ = ()
     _fields = ("k",)
 
+    def __new__(cls, k):
+        if k < 1:
+            raise ValueError(f"f{k} is not defined")
+        return Record.__new__(cls, k)
+
 
 class Poch(Record):
     __slots__ = ()
     _fields = ("a", "m")
+
+    def __new__(cls, a, m):
+        if a < 1 or m < 1:
+            raise ValueError("poch(a,m) needs a >= 1 and m >= 1")
+        return Record.__new__(cls, a, m)
 
 
 class PochFin(Record):
     __slots__ = ()
     _fields = ("a", "m", "n")
 
+    def __new__(cls, a, m, n):
+        if a < 1 or m < 1 or n < 0:
+            raise ValueError("pochfin(a,m,n) needs a >= 1, m >= 1 and n >= 0")
+        return Record.__new__(cls, a, m, n)
+
 
 # The atom theta(sa,r,sb,s) is the spec of f(sa*q^r, sb*q^s).
 Theta = ThetaSpec
+
+
+FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
 
 
 class Fun(Record):
@@ -86,6 +108,13 @@ class Fun(Record):
 
     __slots__ = ()
     _fields = ("name", "neg", "t")
+
+    def __new__(cls, name, neg, t):
+        if name not in FUN_NAMES:
+            raise ValueError(f"unknown function {name!r}")
+        if t < 1:
+            raise ValueError("dilation exponent must be >= 1")
+        return Record.__new__(cls, name, neg, t)
 
 
 class Add(Record):
@@ -143,7 +172,28 @@ class Dissect(Record):
         return Record.__new__(cls, child, t, j)
 
 
-FUN_NAMES = ("phi", "psi", "chi", "G", "H", "R")
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+# The binary operators, token -> (record, precedence, printed text), read by
+# the parser and the unparser alike.
+_OPERATORS = {
+    "+": (Add, _PREC_ADD, " + "),
+    "-": (Sub, _PREC_ADD, " - "),
+    "*": (Mul, _PREC_MUL, "*"),
+    "/": (Div, _PREC_MUL, "/"),
+}
+
+# The call forms name(arg,...), name -> (record, argument kinds in field
+# order): "e" an expression, "i" a signed integer.  A record iterates its
+# fields, so the unparser prints each of them back as name(field,...).
+_CALLS = {
+    "poch": (Poch, "ii"),
+    "pochfin": (PochFin, "iii"),
+    "theta": (Theta, "iiii"),
+    "dilate": (Dilate, "ei"),
+    "dissect": (Dissect, "eii"),
+    "negq": (NegQ, "e"),
+}
 
 # Deepest nesting of parentheses, function arguments and unary minus the
 # parser accepts; each level costs up to six Python frames, so deeper input
@@ -264,20 +314,14 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.current.kind in ("+", "-"):
+    def parse_expr(self, prec=_PREC_ADD):
+        """An expr at ``prec`` _PREC_ADD, a term at _PREC_MUL: operands of the
+        next precedence up, joined left to right by the operators of ``prec``."""
+        node = self.parse_unary() if prec == _PREC_MUL else self.parse_expr(_PREC_MUL)
+        while _OPERATORS.get(self.current.kind, (None, None))[1] == prec:
             tok = self.advance()
-            right = self.parse_term()
-            node = self.build(tok, (Add if tok.kind == "+" else Sub)(node, right), node, right)
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.current.kind in ("*", "/"):
-            tok = self.advance()
-            right = self.parse_unary()
-            node = self.build(tok, (Mul if tok.kind == "*" else Div)(node, right), node, right)
+            right = self.parse_unary() if prec == _PREC_MUL else self.parse_expr(_PREC_MUL)
+            node = self.build(tok, _OPERATORS[tok.kind][0](node, right), node, right)
         return node
 
     def parse_unary(self):
@@ -325,46 +369,20 @@ class _Parser:
         if name == "q":
             return Q()
         if re.fullmatch(r"f\d+", name):
-            k = self.int_value(tok)
-            if k < 1:
-                self.fail(f"f{k} is not defined", tok)
-            return F(k)
-        if name == "poch":
-            a, m = self.int_args(2)
-            if a < 1 or m < 1:
-                self.fail("poch(a,m) needs a >= 1 and m >= 1", tok)
-            return Poch(a, m)
-        if name == "pochfin":
-            a, m, n = self.int_args(3)
-            if a < 1 or m < 1 or n < 0:
-                self.fail("pochfin(a,m,n) needs a >= 1, m >= 1 and n >= 0", tok)
-            return PochFin(a, m, n)
-        if name == "theta":
-            return self.make(tok, Theta, *self.int_args(4))
+            return self.make(tok, F, self.int_value(tok))
         if name in FUN_NAMES:
-            neg, t = self.parse_q_arg()
-            return Fun(name, neg, t)
-        if name == "dilate":
+            return self.make(tok, Fun, name, *self.parse_q_arg())
+        if name in _CALLS:
+            record, kinds = _CALLS[name]
             self.expect("(")
-            child = self.parse_expr()
-            self.expect(",")
-            t = self.signed_int()
+            args = []
+            for i, kind in enumerate(kinds):
+                if i:
+                    self.expect(",")
+                args.append(self.parse_expr() if kind == "e" else self.signed_int())
             self.expect(")")
-            return self.build(tok, self.make(tok, Dilate, child, t), child)
-        if name == "dissect":
-            self.expect("(")
-            child = self.parse_expr()
-            self.expect(",")
-            t = self.signed_int()
-            self.expect(",")
-            j = self.signed_int()
-            self.expect(")")
-            return self.build(tok, self.make(tok, Dissect, child, t, j), child)
-        if name == "negq":
-            self.expect("(")
-            child = self.parse_expr()
-            self.expect(")")
-            return self.build(tok, NegQ(child), child)
+            node = self.make(tok, record, *args)
+            return self.build(tok, node, args[0]) if kinds[0] == "e" else node
         raise UnknownSymbol(f"unknown symbol {name!r}", *_line_col(self.text, tok.pos))
 
     def make(self, tok, cls, *args):
@@ -381,16 +399,6 @@ class _Parser:
         value = self.int_value(self.expect("int"))
         return -value if negative else value
 
-    def int_args(self, count):
-        self.expect("(")
-        values = []
-        for i in range(count):
-            if i:
-                self.expect(",")
-            values.append(self.signed_int())
-        self.expect(")")
-        return values
-
     def parse_q_arg(self):
         """ARG := ('-')? 'q' ('^' INT)? inside phi/psi/chi/G/H/R."""
         self.expect("(")
@@ -405,8 +413,6 @@ class _Parser:
         if self.current.kind == "^":
             self.advance()
             t = self.int_value(self.expect("int"))
-            if t < 1:
-                self.fail("dilation exponent must be >= 1")
         self.expect(")")
         return neg, t
 
@@ -429,19 +435,15 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # Unparser
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# The two syntax tables read backwards: record -> (precedence, printed text)
+# of an operator, record -> name of a call form, and record -> precedence.
+_PRINTED = {record: (prec, text) for record, prec, text in _OPERATORS.values()}
+_CALL_NAMES = {record: name for name, (record, _) in _CALLS.items()}
+_PRECEDENCE = {Neg: _PREC_NEG, Pow: _PREC_POW, **{r: p for r, (p, _) in _PRINTED.items()}}
 
 
 def _prec(node):
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PRECEDENCE.get(type(node), _PREC_ATOM)
 
 
 def unparse(node):
@@ -457,41 +459,28 @@ def _wrap(child, minimum):
 
 
 def _unparse(node):
-    if isinstance(node, IntLit):
+    kind = type(node)
+    if kind in _PRINTED:
+        prec, text = _PRINTED[kind]
+        return f"{_wrap(node.left, prec)}{text}{_wrap(node.right, prec + 1)}"
+    if kind in _CALL_NAMES:
+        args = ",".join(_unparse(x) if isinstance(x, Record) else str(x) for x in node)
+        return f"{_CALL_NAMES[kind]}({args})"
+    if kind is IntLit:
         return str(node.value)
-    if isinstance(node, Q):
+    if kind is Q:
         return "q"
-    if isinstance(node, F):
+    if kind is F:
         return f"f{node.k}"
-    if isinstance(node, Poch):
-        return f"poch({node.a},{node.m})"
-    if isinstance(node, PochFin):
-        return f"pochfin({node.a},{node.m},{node.n})"
-    if isinstance(node, Theta):
-        return f"theta({node.sign_a},{node.r},{node.sign_b},{node.s})"
-    if isinstance(node, Fun):
+    if kind is Fun:
         arg = "-q" if node.neg else "q"
         if node.t != 1:
             arg += f"^{node.t}"
         return f"{node.name}({arg})"
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Neg):
+    if kind is Neg:
         return f"-{_wrap(node.child, _PREC_NEG)}"
-    if isinstance(node, Pow):
+    if kind is Pow:
         return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}"
-    if isinstance(node, Dilate):
-        return f"dilate({_unparse(node.child)},{node.t})"
-    if isinstance(node, NegQ):
-        return f"negq({_unparse(node.child)})"
-    if isinstance(node, Dissect):
-        return f"dissect({_unparse(node.child)},{node.t},{node.j})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -557,11 +546,10 @@ def evaluate(node, order):
     and an unpaired poch(a,m) enters its product as one dense factor.
 
     A division or negative power needs the constant term of its
-    denominator to be +1 or -1.  A dilation or dissection out of range
-    never gets here: :class:`Dilate` and :class:`Dissect` refuse to be
-    built with one.  A tree that needs an order above
-    MAX_ORDER or an exponent above MAX_EXPONENT raises
-    :class:`BudgetExceeded` before anything is built.
+    denominator to be +1 or -1.  A parameter out of range never gets
+    here: every node checks its fields when it is built.  A tree that
+    needs an order above MAX_ORDER or an exponent above MAX_EXPONENT
+    raises :class:`BudgetExceeded` before anything is built.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -642,14 +630,6 @@ def check_budget(node, order, power=1):
     return 1
 
 
-def _dilate_to(series, t, order):
-    """Dilate and zero-pad to ``order``; safe because skipped exponents are 0."""
-    dilated = series.dilate(t)
-    if dilated.order >= order:
-        return dilated.truncate(order)
-    return Series(list(dilated.coeffs) + [0] * (order - dilated.order))
-
-
 def _inverse(node, value, path, verb):
     """``value`` inverted, where ``value`` is ``node`` evaluated."""
     try:
@@ -687,9 +667,10 @@ def _compute(node, order, path):
     if isinstance(node, Neg):
         return -_evaluate(node.child, order, path + ("child",))
     if isinstance(node, Dilate):
-        child_order = (order + node.t - 1) // node.t
-        child = _evaluate(node.child, child_order, path + ("child",))
-        return _dilate_to(child, node.t, order)
+        # ceil(order/t) terms dilate to (ceil(order/t) - 1)*t + 1 <= order,
+        # padded with the zeros the dilation skips
+        child = _evaluate(node.child, -(-order // node.t), path + ("child",)).dilate(node.t)
+        return Series(child.coeffs + (0,) * (order - child.order))
     if isinstance(node, NegQ):
         return _evaluate(node.child, order, path + ("child",)).negate_q()
     if isinstance(node, Dissect):
@@ -961,12 +942,15 @@ def _pivot_key(item):
 
 
 class IdentityRecord(Record):
-    """Named identity: lhs == rhs exactly, or lhs == rhs (mod modulus)."""
+    """Named identity: lhs == rhs exactly, or lhs == rhs (mod modulus) for a
+    modulus that is an int >= 2 (any other raises InvalidModulus)."""
 
     __slots__ = ()
     _fields = ("name", "lhs", "rhs", "modulus", "anchor")
 
     def __new__(cls, name, lhs, rhs, modulus=None, anchor=""):
+        if modulus is not None:
+            require_modulus(modulus)
         return Record.__new__(cls, name, lhs, rhs, modulus, anchor)
 
     @property
@@ -990,20 +974,14 @@ def parse_record(line, line_number=None):
     if len(m.group("mod") or "") > MAX_LITERAL_DIGITS:
         raise ManifestError(f"modulus longer than {MAX_LITERAL_DIGITS} digits", line_number, name)
     modulus = int(m.group("mod")) if m.group("mod") else None
-    if modulus is not None and modulus < 2:
-        raise ManifestError("modulus must be >= 2", line_number, name)
-    body = m.group("body")
-    body, _, anchor = body.partition("@")
-    anchor = anchor.strip()
+    body, _, anchor = m.group("body").partition("@")
     sides = body.split("==")
     if len(sides) != 2:
         raise ManifestError("expected exactly one '==' separator", line_number, name)
     try:
-        lhs = parse(sides[0])
-        rhs = parse(sides[1])
-    except ParseError as exc:
+        return IdentityRecord(name, parse(sides[0]), parse(sides[1]), modulus, anchor.strip())
+    except (ParseError, InvalidModulus) as exc:
         raise ManifestError(str(exc), line_number, name) from exc
-    return IdentityRecord(name, lhs, rhs, modulus, anchor)
 
 
 def load_manifest(path):

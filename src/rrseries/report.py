@@ -35,10 +35,6 @@ class VerificationReport(Record):
         """True unless this item is a hard failure (report-only never fails a run)."""
         return self.status != FAIL
 
-    @property
-    def passed(self):
-        return self.status in (PASS, REPORT_ONLY_PASS)
-
     def to_dict(self):
         violation = None
         if self.first_violation is not None:

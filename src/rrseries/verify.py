@@ -87,8 +87,9 @@ def verify_identity(record, order):
     return make_report(record.name, violation, len(difference), start)
 
 
-def scan(spec, order=None, report_only=False):
-    """Run one sign/divisibility scan below ``order`` (default spec.max_n).
+def scan(spec, report_only=False):
+    """Run one sign/divisibility scan below spec.max_n, or below the order of
+    a target that is a :class:`Series` when that is lower.
 
     Both kinds read the exact coefficients, so a violation reports the
     unreduced coefficient.  A scan with no index below the limit on its
@@ -96,7 +97,7 @@ def scan(spec, order=None, report_only=False):
     anything: it raises ValueError, before any series is built.
     """
     start = time.perf_counter()
-    limit = spec.max_n if order is None else order
+    limit = spec.max_n
     if isinstance(spec.target, Series):
         limit = min(limit, spec.target.order)
     check_not_vacuous(spec, limit)
@@ -284,8 +285,7 @@ def verify_manifest(path, order):
     return [verify_identity(record, order) for record in dsl.load_manifest(path)]
 
 
-def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
-                    alpha_beta_limit=500):
+def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
     """Run the full standard suite and return reports in fixed order.
 
     Sections: the identity manifest at ``order``; the proved sign scans,
@@ -309,7 +309,7 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None,
     reports.extend(scan(spec) for spec in proved)
     reports.extend(catalog.linking_relations(scan_order))
     reports.extend(_oracle_reports(300, min(1000, scan_order)))
-    reports.append(partitions.check_alpha_beta(alpha_beta_limit))
+    reports.append(partitions.check_alpha_beta(500))
     for m, r in ((7, 1), (11, 2), (13, 3)):
         series = catalog.f_mrs(m, 2 * r, r, scan_order)
         reports.append(

@@ -154,6 +154,7 @@ class TestParse:
         ("pochfin(1,1,-1)", 1), ("q*pochfin(1,0,2)", 3), ("theta(1,-1,1,2)", 1),
         ("theta(1,0,1,0)", 1), ("dilate(f1, 0)", 1), ("q*dilate(q,-2)", 3),
         ("dissect(q,5,7)", 1), ("dissect(q,5,-1)", 1), ("dissect(q,0,0)", 1),
+        ("f0", 1), ("phi(q^0)", 1), ("G(-q^0)", 1),
     ])
     def test_bad_product_parameters_are_parse_errors(self, text, column):
         with pytest.raises(ParseError) as info:

@@ -11,6 +11,7 @@ import pytest
 from rrseries import dsl
 from rrseries.dsl import (Add, Dilate, Dissect, Div, F, Fun, IdentityRecord, IntLit, Mul, Neg,
                           NegQ, Poch, PochFin, Pow, Product, Q, Sub)
+from rrseries.errors import InvalidModulus
 from rrseries.partitions import PartConstraint
 from rrseries.qfunctions import ThetaSpec
 from rrseries.report import VerificationReport
@@ -83,6 +84,19 @@ class TestFields:
             ThetaSpec(2, 1, 1, 1)
         with pytest.raises(ValueError, match="color counts"):
             PartConstraint(5, {1: -1})
+        # the records raise the messages the parser reports
+        for build, error, message in (
+            (lambda: F(0), ValueError, "f0 is not defined"),
+            (lambda: Poch(0, 5), ValueError, r"poch\(a,m\) needs a >= 1 and m >= 1"),
+            (lambda: PochFin(1, 1, -1), ValueError, r"pochfin\(a,m,n\) needs .* n >= 0"),
+            (lambda: Fun("phi", False, 0), ValueError, "dilation exponent must be >= 1"),
+            (lambda: Fun("zeta", False, 1), ValueError, "unknown function 'zeta'"),
+            (lambda: IdentityRecord("x", X, Y, modulus=1), InvalidModulus, "modulus 1"),
+            (lambda: IdentityRecord("x", X, Y, modulus=0), InvalidModulus, "modulus 0"),
+            (lambda: IdentityRecord("x", X, Y, modulus=True), InvalidModulus, "modulus True"),
+        ):
+            with pytest.raises(error, match=message):
+                build()
 
 
 class TestRoundTrips:
