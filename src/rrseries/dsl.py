@@ -21,18 +21,18 @@ A manifest is a UTF-8 line-oriented file of identity records:
     # comment
     [name] (mod m)? : <lhs-expr> == <rhs-expr> @ anchor-text
 
-Evaluation lowers every product subtree (integers, ``q``, f_k, poch,
-theta and the named functions under ``*``, ``/``, ``^``, unary minus,
-``dilate`` and ``negq``) to one normal form, a :class:`Product`
+Evaluation lowers every tree to one normal form, a :class:`Product`
 
-    c * q^k * prod f(+-q^r, +-q^s)^e * prod poch(a,m)^e,
+    c * q^k * prod f(+-q^r, +-q^s)^e * prod x^e,
 
-whose theta bases (r, s >= 1) are sparse series with constant term 1;
-only a Pochhammer symbol without a partner poch(m-a,m) stays a poch.
-A Product is built by the sparse kernels of ``_backend``: one base
-raised by Miller's recurrence, every other unit of exponent one sparse
-product or quotient.  Sums, dissections, finite products and the
-unpaired Pochhammer symbols are evaluated densely.  Every value is
+whose theta bases (r, s >= 1) are sparse series with constant term 1,
+and whose dense factors x are the parts that are no theta quotient: a
+sum, a difference, a dissection, a finite product, or a poch(a,m)
+without its partner poch(m-a,m), each under the ``dilate`` and
+``negq`` around it.  The theta quotient is built by the sparse kernels
+of ``_backend``: one base raised by Miller's recurrence, every other
+unit of exponent one sparse product or quotient.  Each dense factor is
+built from its children and raised to its exponent.  Every value is
 exact; a congruence mod m is checked on the exact value, reduced at the
 end.
 """
@@ -47,7 +47,7 @@ from ._record import Record
 from .errors import (BudgetExceeded, EvaluationError, InvalidModulus, InvalidTheta,
                      ManifestError, NonUnitConstantTerm, ParseError, UnknownSymbol)
 from .qfunctions import ThetaSpec
-from .series import Series, require_modulus
+from .series import Series, require_modulus, require_unit
 
 # ---------------------------------------------------------------------------
 # AST
@@ -60,6 +60,11 @@ from .series import Series, require_modulus
 class IntLit(Record):
     __slots__ = ()
     _fields = ("value",)
+
+    def __new__(cls, value):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"integer literal {value!r} is not an int >= 0")
+        return Record.__new__(cls, value)
 
 
 class Q(Record):
@@ -112,6 +117,8 @@ class Fun(Record):
     def __new__(cls, name, neg, t):
         if name not in FUN_NAMES:
             raise ValueError(f"unknown function {name!r}")
+        if type(neg) is not bool:
+            raise ValueError(f"sign flag {neg!r} is not a bool")
         if t < 1:
             raise ValueError("dilation exponent must be >= 1")
         return Record.__new__(cls, name, neg, t)
@@ -140,6 +147,11 @@ class Div(Record):
 class Pow(Record):
     __slots__ = ()
     _fields = ("base", "exponent")
+
+    def __new__(cls, base, exponent):
+        if type(exponent) is not int:
+            raise ValueError(f"exponent {exponent!r} is not an int")
+        return Record.__new__(cls, base, exponent)
 
 
 class Neg(Record):
@@ -503,12 +515,17 @@ _FUN_DEFINITIONS = {
 # The package's one memo cache: each node keeps the longest series computed
 # for it.  A node's value at a lower order is a prefix of its value at a
 # higher one, so shorter requests are served by truncation.  The value of a
-# product subtree is also kept under its normal form (a :class:`Product`),
-# so the trees of one product share one entry.
+# product is also kept under its normal form (a :class:`Product`), so the
+# trees of one product share one entry.
 _eval_cache = {}
 _eval_lock = threading.Lock()
 
-_RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_RING_OPS = {Add: operator.add, Sub: operator.sub}
+
+# The nodes that enter every Product as dense factors of their own; a poch
+# does too while it has no partner, and so do ``dilate`` and ``negq`` of a
+# dense factor.
+_DENSE_LEAVES = (Add, Sub, Dissect, PochFin)
 
 # A base of an exact product other than the one raised by Miller's
 # recurrence is folded in by one sparse step per unit of its exponent up to
@@ -538,12 +555,11 @@ def evaluate(node, order):
     Every node's longest result is memoized and serves any lower order
     by truncation; series are immutable so the cache is safe to share.
 
-    Every node that :func:`lower` takes to its normal form
-    c*q^k*prod theta^e is built from sparse theta series, atoms
-    included, so ``f3`` and ``theta(-1,3,-1,6)`` share one cache entry.
-    Where ``lower`` gives None (a sum, a dissection, a finite product, a
-    division by a non-unit) the node is built densely from its children,
-    and an unpaired poch(a,m) enters its product as one dense factor.
+    Every node is evaluated through its normal form :func:`lower`,
+    c*q^k*prod theta^e*prod dense^e.  The thetas are sparse series, so
+    ``f3`` and ``theta(-1,3,-1,6)`` share one cache entry; each dense
+    factor (a sum, a dissection, a finite product, a poch without its
+    partner) is built from its children and raised to its exponent.
 
     A division or negative power needs the constant term of its
     denominator to be +1 or -1.  A parameter out of range never gets
@@ -630,53 +646,31 @@ def check_budget(node, order, power=1):
     return 1
 
 
-def _inverse(node, value, path, verb):
-    """``value`` inverted, where ``value`` is ``node`` evaluated."""
-    try:
-        return value.invert()
-    except NonUnitConstantTerm as exc:
-        where = "/".join(path)
-        raise EvaluationError(f"cannot {verb}: {exc} in {unparse(node)} (at {where})") from exc
-
-
 def _compute(node, order, path):
-    # an unpaired poch enters a Product as this dense factor, so it is
-    # built here and never lowered to a Product of itself
-    if isinstance(node, Poch):
+    if not isinstance(node, _DENSE_LEAVES):
+        product = _lower(node, path)
+        if product != Product(1, 0, (), ((node, 1),)):
+            return _evaluate_product(product, order, path)
+    # the node is its own single dense factor
+    kind = type(node)
+    if kind is Poch:
         return qfunctions.pochhammer_inf(node.a, node.m, order)
-    product = lower(node)
-    if product is not None:
-        return _evaluate_product(product, order, path)
-    if isinstance(node, PochFin):
+    if kind is PochFin:
         return qfunctions.pochhammer_fin(node.a, node.m, node.n, order)
-    if type(node) in _RING_OPS:
+    if kind in _RING_OPS:
         left = _evaluate(node.left, order, path + ("left",))
         right = _evaluate(node.right, order, path + ("right",))
-        return _RING_OPS[type(node)](left, right)
-    if isinstance(node, Div):
-        where = path + ("denominator",)
-        inv = _inverse(node.right, _evaluate(node.right, order, where), where, "divide")
-        return _evaluate(node.left, order, path + ("numerator",)) * inv
-    if isinstance(node, Pow):
-        where = path + ("base",)
-        base = _evaluate(node.base, order, where)
-        if node.exponent < 0:
-            verb = f"raise to {node.exponent}"
-            return _inverse(node.base, base, where, verb) ** -node.exponent
-        return base ** node.exponent
-    if isinstance(node, Neg):
-        return -_evaluate(node.child, order, path + ("child",))
-    if isinstance(node, Dilate):
+        return _RING_OPS[kind](left, right)
+    if kind is Dilate:
         # ceil(order/t) terms dilate to (ceil(order/t) - 1)*t + 1 <= order,
         # padded with the zeros the dilation skips
         child = _evaluate(node.child, -(-order // node.t), path + ("child",)).dilate(node.t)
         return Series(child.coeffs + (0,) * (order - child.order))
-    if isinstance(node, NegQ):
+    if kind is NegQ:
         return _evaluate(node.child, order, path + ("child",)).negate_q()
-    if isinstance(node, Dissect):
-        child = _evaluate(node.child, node.t * order, path + ("child",))
-        return child.dissect(node.t, node.j).truncate(order)
-    raise TypeError(f"not an expression node: {node!r}")
+    # a dissection
+    child = _evaluate(node.child, node.t * order, path + ("child",))
+    return child.dissect(node.t, node.j).truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +678,20 @@ def _compute(node, order, path):
 
 
 class Product(Record):
-    """c * q^k * prod theta^e * prod poch^e: the normal form of a product subtree.
+    """c * q^k * prod theta^e * prod dense^e: the normal form of a tree.
 
     ``thetas`` holds sorted (ThetaSpec, e) pairs, each spec canonical with
     both exponents >= 1, so each base is a sparse series with constant
-    term 1.  ``pochs`` holds sorted ((a, m), e) pairs for the Pochhammer
-    symbols (q^a; q^m)_inf that found no partner.  Every e is nonzero, k
-    is >= 0, and c = 0 only in the zero product, which has no factors.
-    A record of its own type, so it never equals a node key of the cache.
+    term 1.  ``dense`` holds (node, e) pairs, sorted by the node's text,
+    for the factors that are no theta: a poch(a,m) that found no partner,
+    and each largest sum, difference, dissection or finite product, under
+    the ``dilate`` and ``negq`` around it.  Every e is nonzero, k is >= 0,
+    and c = 0 only in the zero product, which has no factors.  A record
+    of its own type, so it never equals a node key of the cache.
     """
 
     __slots__ = ()
-    _fields = ("c", "k", "thetas", "pochs")
+    _fields = ("c", "k", "thetas", "dense")
 
 
 def _euler(k):
@@ -704,7 +700,8 @@ def _euler(k):
 
 
 def lower(node):
-    """The :class:`Product` equal to the tree ``node``, or None.
+    """The :class:`Product` equal to the tree ``node``: Garvan's product
+    normal form, with every factor that is no product kept whole.
 
     The rules: ``f_k`` is f(-q^k, -q^(2k)); a pair poch(a,m)*poch(m-a,m)
     is f(-q^a, -q^(m-a))/f_m, poch(m,m) is f_m and poch(a,2a) is
@@ -712,28 +709,36 @@ def lower(node):
     or f(-1, b) = 0; phi, psi, chi, G, H and R are the theta quotients
     of ``_FUN_DEFINITIONS``; a dilation scales every exponent, ``negq``
     flips signs by the parity of the exponents, ``q`` adds to k and an
-    integer multiplies c.
+    integer multiplies c.  A sum, a difference, a dissection, a finite
+    product and a poch without its partner are dense factors: a
+    dilation takes poch(a,m) to poch(a*t,m*t) and any other dense
+    factor x to dilate(x,t), and ``negq`` takes x to negq(x).
 
-    None when the tree holds a node that is no product (a sum, a
-    dissection, a finite product), an unpaired poch under ``negq``, or a
-    division or negative power whose
-    denominator has a constant term other than +1 or -1, as f(+-1, b)
-    has: the dense path evaluates those, and raises the same errors as
-    it always has.
+    Raises the evaluator's :class:`EvaluationError` for a division or
+    negative power whose denominator has a constant term other than +1
+    or -1, as f(+-1, b) has: the constant term of a dense factor is read
+    from its value to order 1, and every dense factor is evaluated to
+    order 1 where it stands in the tree, within the budget of
+    :func:`check_budget`, so an error inside it names its own place.
     """
-    parts = _lower_parts(node)
-    if parts is None:
-        return None
-    c, k, thetas, pochs = parts
+    check_budget(node, 1)
+    return _lower(node, ())
+
+
+def _lower(node, path):
+    c, k, factors = _lower_parts(node, path)
     if c == 0:
         return Product(0, 0, (), ())
-    thetas, pochs = _pair(thetas, pochs)
-    merged = {}
-    for spec, e in thetas.items():
-        spec = spec.canonical()
-        merged[spec] = merged.get(spec, 0) + e
-    thetas = sorted(((spec, e) for spec, e in merged.items() if e), key=_base_key)
-    return Product(c, k, tuple(thetas), tuple(sorted(pochs.items())))
+    thetas, dense = {}, []
+    for factor, e in _pair(factors).items():
+        if type(factor) is ThetaSpec:
+            spec = factor.canonical()
+            thetas[spec] = thetas.get(spec, 0) + e
+        else:
+            dense.append((factor, e))
+    thetas = sorted(((spec, e) for spec, e in thetas.items() if e), key=_base_key)
+    dense.sort(key=lambda item: unparse(item[0]))
+    return Product(c, k, tuple(thetas), tuple(dense))
 
 
 def _base_key(item):
@@ -742,117 +747,126 @@ def _base_key(item):
     return spec.r, spec.s, spec.sign_a, spec.sign_b
 
 
-def _is_unit(parts):
-    return parts[1] == 0 and parts[0] in (1, -1)
-
-
-def _lower_parts(node):
-    """(c, k, {ThetaSpec: e}, {(a, m): e}) for a product subtree, or None."""
-    if isinstance(node, IntLit):
-        return node.value, 0, {}, {}
-    if isinstance(node, Q):
-        return 1, 1, {}, {}
-    if isinstance(node, F):
-        return 1, 0, {_euler(node.k): 1}, {}
-    if isinstance(node, Poch):
-        return 1, 0, {}, {(node.a, node.m): 1}
-    if isinstance(node, ThetaSpec):
+def _lower_parts(node, path):
+    """(c, k, {factor: e}) for ``node``, found at ``path``: each factor a
+    theta base (a ThetaSpec) or a dense node."""
+    kind = type(node)
+    if kind is IntLit:
+        return node.value, 0, {}
+    if kind is Q:
+        return 1, 1, {}
+    if kind is F:
+        return 1, 0, {_euler(node.k): 1}
+    if kind is Poch:
+        return 1, 0, {node: 1}
+    if kind is ThetaSpec:
         spec = node.canonical()
         if spec.r:
-            return 1, 0, {spec: 1}, {}
+            return 1, 0, {spec: 1}
         # f(1, b) = 2 f(b, b^3) and f(-1, b) = 0 (Berndt, Ramanujan's
         # Notebooks III, ch. 16, Entry 18)
-        return 1 + spec.sign_a, 0, {ThetaSpec(spec.sign_b, spec.s, spec.sign_b, 3 * spec.s): 1}, {}
-    if isinstance(node, Fun):
-        parts = _lower_parts(_FUN_DEFINITIONS[node.name])
+        return 1 + spec.sign_a, 0, {ThetaSpec(spec.sign_b, spec.s, spec.sign_b, 3 * spec.s): 1}
+    if kind is Fun:
+        parts = _lower_parts(_FUN_DEFINITIONS[node.name], path)
         return _dilate_parts(_negate_parts(parts) if node.neg else parts, node.t)
-    if isinstance(node, (Mul, Div)):
-        left, right = _lower_parts(node.left), _lower_parts(node.right)
-        if left is None or right is None:
-            return None
-        if isinstance(node, Div):
-            if not _is_unit(right):
-                return None
-            right = _power_parts(right, -1)
-        return _times(left, right)
-    if isinstance(node, Pow):
-        base = _lower_parts(node.base)
-        if base is None or (node.exponent < 0 and not _is_unit(base)):
-            return None
-        return _power_parts(base, node.exponent)
-    if isinstance(node, Neg):
-        parts = _lower_parts(node.child)
-        return None if parts is None else (-parts[0],) + parts[1:]
-    if isinstance(node, Dilate):
-        parts = _lower_parts(node.child)
-        return None if parts is None else _dilate_parts(parts, node.t)
-    if isinstance(node, NegQ):
-        parts = _lower_parts(node.child)
-        if parts is None:
-            return None
-        c, k, thetas, pochs = parts
-        thetas, pochs = _pair(thetas, pochs)
-        # (q^a; q^m)_inf at q -> -q is no Pochhammer symbol of the DSL
-        return None if pochs else _negate_parts((c, k, thetas, {}))
-    return None
+    if kind is Mul:
+        return _times(_lower_parts(node.left, path + ("left",)),
+                      _lower_parts(node.right, path + ("right",)))
+    if kind is Div:
+        right = _unit_parts(node.right, path + ("denominator",), "divide")
+        return _times(_lower_parts(node.left, path + ("numerator",)), _power_parts(right, -1))
+    if kind is Pow:
+        where = path + ("base",)
+        if node.exponent < 0:
+            return _power_parts(_unit_parts(node.base, where, f"raise to {node.exponent}"),
+                                node.exponent)
+        return _power_parts(_lower_parts(node.base, where), node.exponent)
+    if kind is Neg:
+        c, k, factors = _lower_parts(node.child, path + ("child",))
+        return -c, k, factors
+    if kind is Dilate:
+        return _dilate_parts(_lower_parts(node.child, path + ("child",)), node.t)
+    if kind is NegQ:
+        c, k, factors = _lower_parts(node.child, path + ("child",))
+        return _negate_parts((c, k, _pair(factors)))
+    if kind in _DENSE_LEAVES:
+        # evaluated here, so an error inside it reports its place in the tree
+        _evaluate(node, 1, path)
+        return 1, 0, {node: 1}
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _unit_parts(node, path, verb):
+    """The parts of ``node``, the denominator at ``path``; EvaluationError
+    unless its constant term is +1 or -1."""
+    parts = _lower_parts(node, path)
+    constant = 0 if parts[1] else parts[0]
+    for factor, e in parts[2].items():
+        if type(factor) is not ThetaSpec:
+            # a factor of a negative exponent is a unit already
+            constant *= _evaluate(factor, 1, path)[0] ** abs(e)
+    try:
+        require_unit(constant)
+    except NonUnitConstantTerm as exc:
+        where = "/".join(path)
+        raise EvaluationError(f"cannot {verb}: {exc} in {unparse(node)} (at {where})") from exc
+    return parts
 
 
 def _times(x, y):
-    thetas, pochs = dict(x[2]), dict(x[3])
-    for spec, e in y[2].items():
-        thetas[spec] = thetas.get(spec, 0) + e
-    for key, e in y[3].items():
-        pochs[key] = pochs.get(key, 0) + e
-    return x[0] * y[0], x[1] + y[1], thetas, pochs
+    factors = dict(x[2])
+    for factor, e in y[2].items():
+        factors[factor] = factors.get(factor, 0) + e
+    return x[0] * y[0], x[1] + y[1], factors
 
 
 def _power_parts(parts, e):
     """``parts`` to the power ``e``; a negative e needs a unit (c = +-1, k = 0),
     so c^e is c^|e|."""
-    c, k, thetas, pochs = parts
-    return (c ** abs(e), k * e,
-            {spec: x * e for spec, x in thetas.items()},
-            {key: x * e for key, x in pochs.items()})
+    c, k, factors = parts
+    return c ** abs(e), k * e, {factor: x * e for factor, x in factors.items()}
 
 
 def _dilate_parts(parts, t):
-    c, k, thetas, pochs = parts
-    return (c, k * t, {spec.dilate(t): e for spec, e in thetas.items()},
-            {(a * t, m * t): e for (a, m), e in pochs.items()})
+    c, k, factors = parts
+    return c, k * t, {(x.dilate(t) if type(x) is ThetaSpec else Poch(x.a * t, x.m * t)
+                       if type(x) is Poch else Dilate(x, t)): e for x, e in factors.items()}
 
 
 def _negate_parts(parts):
-    c, k, thetas, pochs = parts
-    return c * (-1) ** k, k, {spec.negate_q(): e for spec, e in thetas.items()}, pochs
+    c, k, factors = parts
+    return c * (-1) ** k, k, {(x.negate_q() if type(x) is ThetaSpec else NegQ(x)): e
+                              for x, e in factors.items()}
 
 
-def _pair(thetas, pochs):
-    """Rewrite the Pochhammer symbols that have a theta form as thetas:
-    (thetas, the unpaired rest)."""
-    thetas, rest = dict(thetas), dict(pochs)
+def _pair(factors):
+    """``factors`` with each Pochhammer symbol that has a theta form
+    rewritten as thetas, and no zero exponent."""
+    factors = dict(factors)
 
     def add(spec, e):
-        thetas[spec] = thetas.get(spec, 0) + e
+        factors[spec] = factors.get(spec, 0) + e
 
-    for a, m in sorted(pochs):
-        e = rest[(a, m)]
+    for poch in sorted(x for x in factors if type(x) is Poch):
+        a, m = poch
+        e = factors[poch]
         if not e:
             continue
         if a == m:
             add(_euler(m), e)
-            rest[(a, m)] = 0
+            factors[poch] = 0
         elif 2 * a == m:
             add(_euler(a), e)
             add(_euler(m), -e)
-            rest[(a, m)] = 0
-        elif a < m and rest.get((m - a, m)):
+            factors[poch] = 0
+        elif a < m and factors.get(Poch(m - a, m)):
             # pair as many as the smaller exponent allows; the other keeps the rest
-            partner = rest[(m - a, m)]
+            partner = factors[Poch(m - a, m)]
             p = e if abs(e) <= abs(partner) else partner
             add(ThetaSpec(-1, a, -1, m - a), p)
             add(_euler(m), -p)
-            rest[(a, m)], rest[(m - a, m)] = e - p, partner - p
-    return thetas, {key: e for key, e in rest.items() if e}
+            factors[poch], factors[Poch(m - a, m)] = e - p, partner - p
+    return {x: e for x, e in factors.items() if e}
 
 
 def _evaluate_product(product, order, path):
@@ -862,44 +876,39 @@ def _evaluate_product(product, order, path):
     return value
 
 
-def _power_product(spec, e):
-    return Product(1, 0, ((spec, e),), ())
-
-
 def _product_series(product, order, path):
     """``product`` to ``order``: the sparse theta quotient, times each
-    unpaired poch by one dense product, times c, shifted by k."""
-    n = order - product.k
-    if product.c == 0 or n <= 0:
+    dense factor raised by ``Series ** e``, times c, shifted by k.
+
+    Where c, k or a dense factor is present, the theta quotient is
+    fetched through the cache under a Product of its own, so products
+    that differ only there share its build."""
+    c, k, thetas, dense = product
+    n = order - k
+    if c == 0 or n <= 0:
         return Series([0] * order)
-    thetas = product.thetas
-    if len(thetas) == 1 and product == _power_product(*thetas[0]):
-        # one base to one power: Miller's recurrence
-        spec, e = thetas[0]
-        if e == 1:
-            return qfunctions.theta_general(spec, n)
-        return Series(_backend.sparse_power(qfunctions.theta_terms(spec, n)[1:], e, n))
-    coeffs = _theta_quotient(thetas, n, path) if thetas else None
-    for (a, m), e in product.pochs:
-        dense = list(_evaluate(Poch(a, m), n, path) ** e)
-        coeffs = dense if coeffs is None else _backend.mul_trunc(coeffs, dense, n)
+    if (c, k, dense) == (1, 0, ()):
+        return Series(_theta_quotient(thetas, n, path))
+    coeffs = list(_evaluate_product(Product(1, 0, thetas, ()), n, path)) if thetas else None
+    for factor, e in dense:
+        value = list(_evaluate(factor, n, path) ** e)
+        coeffs = value if coeffs is None else _backend.mul_trunc(coeffs, value, n)
     if coeffs is None:
         coeffs = [1] + [0] * (n - 1)
-    if product.c != 1:
-        coeffs = [product.c * x for x in coeffs]
-    return Series([0] * product.k + coeffs)
+    return Series([0] * k + [c * x for x in coeffs])
 
 
 def _theta_quotient(thetas, n, path):
     """prod theta^e to ``n`` terms, as a list.
 
-    The bases are ranked by :func:`_pivot_key`, largest |e| first; among
+    One base to one power is Miller's recurrence.  Otherwise the bases
+    are ranked by :func:`_pivot_key`, largest |e| first; among
     equal |e| a negative base goes first, since a sparse division costs
     more than a sparse product, except that a first power needs no
     recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3) is one sparse division
     of a theta series.  The build starts from the longest prefix of that
-    ranking whose product (c = 1, k = 0, no poch) the cache holds to at
-    least ``n`` terms, longest first and down to two bases, so C = B *
+    ranking whose product (c = 1, k = 0, no dense factor) the cache holds
+    to at least ``n`` terms, longest first and down to two bases, so C = B *
     f(-q^10,-q^15)/f(-q^5,-q^20) starts from B, D from A, and the theta
     part of 5*q*R(q)^5 is B itself.  With no such entry it starts from
     the first base alone, raised by Miller's recurrence through the
@@ -909,6 +918,13 @@ def _theta_quotient(thetas, n, path):
     of the result; a base with |e| above MAX_SPARSE_STEPS gets a Miller
     power of its own and one dense product instead.
     """
+    if not thetas:
+        return [1] + [0] * (n - 1)
+    if len(thetas) == 1:
+        spec, e = thetas[0]
+        if e == 1:
+            return list(qfunctions.theta_general(spec, n))
+        return _backend.sparse_power(qfunctions.theta_terms(spec, n)[1:], e, n)
     bases = sorted(thetas, key=_pivot_key, reverse=True)
     for size in range(len(bases), 0, -1):
         prefix = Product(1, 0, tuple(sorted(bases[:size], key=_base_key)), ())
@@ -919,7 +935,7 @@ def _theta_quotient(thetas, n, path):
     muls, divs = [], []
     for spec, e in bases[size:]:
         if abs(e) > MAX_SPARSE_STEPS:
-            power = _evaluate_product(_power_product(spec, e), n, path)
+            power = _evaluate_product(Product(1, 0, ((spec, e),), ()), n, path)
             coeffs = _backend.mul_trunc(coeffs, list(power.coeffs), n)
             continue
         terms = qfunctions.theta_terms(spec, n)[1:]

@@ -129,7 +129,9 @@ def check_not_vacuous(spec, limit):
 
 
 def check_period_args(period, prefix, order):
-    """Raise ValueError unless ``period >= 1`` and ``0 <= prefix < order``.
+    """Raise ValueError unless ``period >= 1``, ``0 <= prefix < order`` and
+    ``order - prefix > period``, so some residue class has two indices to
+    compare.
 
     Cheap, so a caller can run it before building an order-``order`` series.
     """
@@ -137,6 +139,9 @@ def check_period_args(period, prefix, order):
         raise ValueError("period must be >= 1")
     if not 0 <= prefix < order:
         raise ValueError(f"prefix must be in [0, {order}), the series order")
+    if order - prefix <= period:
+        raise ValueError(f"order - prefix = {order - prefix} is not above the period {period}:"
+                         " no residue class has two indices to compare")
 
 
 def period_check(series, period, prefix, name="period check", report_only=False):

@@ -277,6 +277,9 @@ class TestScans:
         (("--period", "0"), "period must be >= 1"),
         (("--period", "5", "--prefix", "-3"), "prefix must be in [0, 300)"),
         (("--period", "5", "--prefix", "300"), "prefix must be in [0, 300)"),
+        # no residue class has two indices to compare
+        (("--period", "150"), "order - prefix = 150 is not above the period 150"),
+        (("--period", "3", "--max-n", "1"), "order - prefix = 1 is not above the period 3"),
     ])
     def test_bad_period_arguments_build_nothing(self, count_kernel_calls, capsys, flags, message):
         calls = count_kernel_calls()

@@ -343,10 +343,10 @@ class TestEvaluateModM:
 
 
 def dense_oracle(node, order, path=()):
-    """Test-local dense evaluator of a product tree: the qfunctions
-    constructors with Series *, invert and **, in the evaluator's order of
-    evaluation, raising the evaluator's EvaluationError for a non-unit
-    denominator."""
+    """Test-local dense evaluator of a tree: the qfunctions constructors
+    with Series +, -, *, invert, ** and dissect, in the evaluator's order of
+    evaluation, raising the evaluator's EvaluationError, with its path
+    names, for a non-unit denominator."""
 
     def inverse(child, value, where, verb):
         try:
@@ -400,7 +400,16 @@ def dense_oracle(node, order, path=()):
         return dense_oracle(node.child, order, path + ("child",)).negate_q()
     if isinstance(node, Dilate):
         return dilated(dense_oracle(node.child, -(-order // node.t), path + ("child",)), node.t)
-    raise TypeError(f"not a product node: {node!r}")
+    if isinstance(node, (Add, Sub)):
+        left = dense_oracle(node.left, order, path + ("left",))
+        right = dense_oracle(node.right, order, path + ("right",))
+        return left + right if isinstance(node, Add) else left - right
+    if isinstance(node, Dissect):
+        child = dense_oracle(node.child, node.t * order, path + ("child",))
+        return child.dissect(node.t, node.j).truncate(order)
+    if isinstance(node, PochFin):
+        return qfunctions.pochhammer_fin(node.a, node.m, node.n, order)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 @st.composite
@@ -414,6 +423,8 @@ def pochhammer_atoms(draw):
     return Poch(a, m)
 
 
+small_ints = st.integers(0, 3).map(IntLit)
+
 product_atoms = st.one_of(
     st.integers(1, 6).map(F),
     pochhammer_atoms(),
@@ -421,8 +432,10 @@ product_atoms = st.one_of(
     st.builds(Theta, st.sampled_from([1, -1]), st.integers(0, 4),
               st.sampled_from([1, -1]), st.integers(1, 4)),
     # constants and q: non-unit denominators, and factors of c and q^k
-    st.integers(0, 3).map(IntLit),
+    small_ints,
     st.just(Q()),
+    # a dense factor of its own
+    st.builds(PochFin, st.integers(1, 4), st.integers(1, 4), st.integers(0, 3)),
 )
 
 product_trees = st.recursive(
@@ -434,6 +447,12 @@ product_trees = st.recursive(
         st.builds(Neg, children),
         st.builds(NegQ, children),
         st.builds(Dilate, children, st.integers(1, 3)),
+        # dense factors: sums with small integers, so that non-unit
+        # constant terms occur, and dissections
+        st.builds(Add, children, st.one_of(children, small_ints)),
+        st.builds(Sub, st.one_of(children, small_ints), children),
+        st.builds(lambda child, t, j: Dissect(child, t, j % t),
+                  children, st.integers(2, 3), st.integers(0, 2)),
     ),
     max_leaves=6,
 )
@@ -460,6 +479,12 @@ class TestThetaQuotientEngine:
     @example(parse("negq(theta(1,0,-1,3))^3*dilate(theta(1,2,1,0),3)^2/f1"))
     @example(parse("dilate(negq(theta(-1,0,1,5))*f2,2)^4"))
     @example(parse("f2/dilate(theta(1,3,1,0),2)^-2"))
+    # dense factors, and errors inside them at their own paths
+    @example(parse("f1*dissect(1/(3+q),2,0)"))
+    @example(parse("1/(f1*(1/(3+q)+q))"))
+    @example(parse("(3+q)/(3+q)"))
+    @example(parse("negq(poch(1,7))^-3*f2"))
+    @example(parse("dilate(1/(2+q),2)*f1"))
     @settings(max_examples=200, deadline=None)
     def test_random_products_match_dense_oracle(self, tree):
         order = 30
@@ -470,21 +495,26 @@ class TestThetaQuotientEngine:
     @example(parse("R(q)^5/R(q^5)"), 2, 47)  # C after B: starts from B
     @example(parse("R(q)^5/R(q^5)"), 2, 9)  # B to fewer terms than C needs: unused
     @example(parse("5*q*R(q)^5*poch(1,7)"), 2, 30)  # the theta part is B
+    @example(parse("R(q)^5*dissect(1/(3+q),2,0)"), 2, 30)  # lowering raises
+    @example(parse("dilate(1-poch(1,3),2)*R(q)^-2"), 1, 9)  # a warm dense factor
     @settings(max_examples=150, deadline=None)
     def test_results_do_not_depend_on_the_cache(self, tree, size, warm):
         # cache the product of the first ``size`` bases of the tree's theta
         # part, in the engine's ranking, to ``warm`` terms: more than the
         # request needs, so the build may start from it, or fewer, so it
-        # must not
+        # must not; and each dense factor to ``warm`` terms.  Lowering
+        # raises the error evaluation raises.
         order = 30
         expected = evaluate_fresh(tree, order)
-        product = dsl.lower(tree)
         try:
-            if product is not None and product.thetas:
+            product = dsl.lower(tree)
+            if product.thetas:
                 bases = sorted(product.thetas, key=dsl._pivot_key, reverse=True)[:size]
                 evaluate(functools.reduce(Mul, [
                     Pow(Theta(spec.sign_a, spec.r, spec.sign_b, spec.s), e)
                     for spec, e in bases]), warm)
+            for factor, _ in product.dense:
+                evaluate(factor, warm)
             value = evaluate(tree, order)
         except EvaluationError as exc:
             value = str(exc)
@@ -502,14 +532,50 @@ class TestThetaQuotientEngine:
         # dilation scales exponents; negq flips the signs of odd ones
         assert dsl.lower(parse("-3*q^2*negq(dilate(f1*q, 3))")) == dsl.Product(
             3, 5, ((f(1, 3, -1, 6), 1),), ())
-        assert dsl.lower(parse("poch(1,7)^2*poch(6,7)^5")).pochs == (((6, 7), 3),)
+        assert dsl.lower(parse("poch(1,7)^2*poch(6,7)^5")).dense == ((Poch(6, 7), 3),)
         # f(1, b) = 2 f(b, b^3) and f(-1, b) = 0
         assert dsl.lower(parse("theta(1,0,1,1)*f1")) == dsl.Product(
             2, 0, ((f(-1, 1, -1, 2), 1), (f(1, 1, 1, 3), 1)), ())
         assert dsl.lower(parse("f1*theta(1,2,-1,0)")) == dsl.Product(0, 0, (), ())
-        for text in ("1 + q", "f1/(2*f1)", "1/q", "negq(poch(1,7))",
-                     "1/theta(1,0,1,1)", "pochfin(1,2,3)*f1", "dissect(f1,2,0)"):
-            assert dsl.lower(parse(text)) is None, text
+        # a factor that is no product is a dense factor, sorted by its text
+        one_plus_q, f1 = parse("1 + q"), (f(-1, 1, -1, 2), 1)
+        for text, thetas, dense in (
+            ("1 + q", (), ((one_plus_q, 1),)),
+            ("negq(poch(1,7))", (), ((NegQ(Poch(1, 7)), 1),)),
+            ("pochfin(1,2,3)*f1", (f1,), ((PochFin(1, 2, 3), 1),)),
+            ("dissect(f1,2,0)", (), ((Dissect(F(1), 2, 0), 1),)),
+            ("(1+q)/(1+q)*f1", (f1,), ()),
+            # a dilation takes poch(a,m) to poch(a*t,m*t), x to dilate(x,t)
+            ("dilate(poch(1,7)*(1+q)^-2*f1, 3)", ((f(-1, 3, -1, 6), 1),),
+             ((Dilate(one_plus_q, 3), -2), (Poch(3, 21), 1))),
+            # negq takes x to negq(x), after pairing
+            ("negq(poch(1,7)*poch(6,7)/(1-q))", ((f(1, 1, -1, 6), 1), (f(1, 7, -1, 14), -1)),
+             ((NegQ(parse("1 - q")), -1),)),
+        ):
+            assert dsl.lower(parse(text)) == dsl.Product(1, 0, thetas, dense), text
+        # a non-unit denominator is the evaluator's error, at the same place
+        for text, message in (
+            ("f1/(2*f1)", "cannot divide: constant term 2 is not a unit in Z[[q]] in 2*f1"
+                          " (at denominator)"),
+            ("1/q", "cannot divide: constant term 0 is not a unit in Z[[q]] in q (at denominator)"),
+            ("f1*theta(1,0,1,1)^-1", "cannot raise to -1: constant term 2 is not a unit in"
+                                     " Z[[q]] in theta(1,0,1,1) (at right/base)"),
+            ("f1*dissect(1/(3+q),2,0)", "cannot divide: constant term 3 is not a unit in"
+                                        " Z[[q]] in 3 + q (at right/child/denominator)"),
+        ):
+            with pytest.raises(EvaluationError) as info:
+                dsl.lower(parse(text))
+            assert str(info.value) == message == evaluate_fresh(parse(text), 5)
+
+    def test_the_theta_part_has_an_entry_of_its_own(self, count_kernel_calls):
+        # 2*q*R(q)^5 and R(q)^5*(1+q) share the build of R(q)^5
+        dsl.clear_cache()
+        evaluate(parse("2*q*R(q)^5"), 41)
+        calls = count_kernel_calls()
+        assert evaluate(parse("R(q)^5*(1+q)"), 40) == evaluate(parse("R(q)^5"), 40) * (
+            evaluate(parse("1+q"), 40))
+        assert not [name for name in calls if name.startswith("sparse")]
+        dsl.clear_cache()
 
     def test_an_atom_shares_the_entry_of_its_product(self, count_kernel_calls, monkeypatch):
         # f3 and theta(-1,3,-1,6) lower to one Product: the second is a cache hit
@@ -553,6 +619,14 @@ class TestBudget:
         dsl.clear_cache()
         with pytest.raises(BudgetExceeded):
             evaluate(parse(text), order)
+        assert calls == []
+
+    def test_lower_runs_the_budget_check(self, count_kernel_calls):
+        # lowering evaluates each dense factor to order 1, within the budget
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        with pytest.raises(BudgetExceeded):
+            dsl.lower(parse("f1*dissect(f2*(1+q), 100000000, 0)"))
         assert calls == []
 
     def test_limits_sit_above_the_orders_in_use(self):

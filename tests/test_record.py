@@ -28,7 +28,7 @@ RECORDS = [
     IntLit(3), Q(), F(5), Poch(1, 5), PochFin(1, 2, 3), ThetaSpec(-1, 1, -1, 4),
     Fun("R", True, 2), Add(X, Y), Sub(X, Y), Mul(X, Y), Div(X, Y), Pow(X, -3), Neg(X),
     Dilate(X, 5), NegQ(X), Dissect(X, 5, 4),
-    Product(2, 1, ((ThetaSpec(-1, 1, -1, 2), -1),), (((1, 7), 2),)),
+    Product(2, 1, ((ThetaSpec(-1, 1, -1, 2), -1),), ((Poch(1, 7), 2),)),
     IdentityRecord("r", X, Y, 3, "anchor"),
     SPEC, PartConstraint(5, {1: 2, 4: 1}), REPORT,
 ]
@@ -94,6 +94,11 @@ class TestFields:
             (lambda: IdentityRecord("x", X, Y, modulus=1), InvalidModulus, "modulus 1"),
             (lambda: IdentityRecord("x", X, Y, modulus=0), InvalidModulus, "modulus 0"),
             (lambda: IdentityRecord("x", X, Y, modulus=True), InvalidModulus, "modulus True"),
+            # so parse(unparse(e)) == e for every tree that can be built
+            (lambda: IntLit(-3), ValueError, "integer literal -3 is not an int >= 0"),
+            (lambda: IntLit(True), ValueError, "integer literal True is not an int >= 0"),
+            (lambda: Pow(X, True), ValueError, "exponent True is not an int"),
+            (lambda: Fun("phi", 2, 1), ValueError, "sign flag 2 is not a bool"),
         ):
             with pytest.raises(error, match=message):
                 build()
@@ -139,7 +144,7 @@ class TestConstruction:
     def test_repr_names_every_field(self):
         assert repr(Add(X, Y)) == "Add(left=Q(), right=IntLit(value=2))"
         assert repr(PartConstraint(2, {1: 1})) == "PartConstraint(modulus=2, allowed=(0, 1))"
-        assert repr(Product(0, 0, (), ())) == "Product(c=0, k=0, thetas=(), pochs=())"
+        assert repr(Product(0, 0, (), ())) == "Product(c=0, k=0, thetas=(), dense=())"
 
 
 def test_import_and_manifest_load_need_no_heavy_module():

@@ -220,6 +220,11 @@ class TestPeriodCheck:
         with pytest.raises(ValueError):
             period_check(Series([1, 2]), 2, prefix=5)
 
+    def test_a_check_that_compares_nothing_is_rejected(self):
+        period_check(Series([1] * 8), 5, prefix=2)  # 2 and 7 compare
+        with pytest.raises(ValueError, match="no residue class has two indices to compare"):
+            period_check(Series([1] * 8), 5, prefix=3)
+
 
 class TestReports:
     def test_text_rendering_has_no_timing(self):
