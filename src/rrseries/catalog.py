@@ -14,7 +14,8 @@ The evaluator builds each of them as a quotient of theta functions, for
 example A = (f(-q^2,-q^3)/f(-q,-q^4))^5.  The quartic combinations
 Npoly and Dpoly in x = q*R(q^5) and the general four-Pochhammer quotient
 F_{m,r,s} live here too, plus the seven coefficient-level linking
-relations tying A, B, C, D together.
+relations tying A, B, C, D together and the two tying A to the
+partition-counting families b25 and Fcolored.
 """
 
 import time
@@ -77,7 +78,8 @@ def f_mrs(m, r, s, order):
     return dsl.evaluate(dsl.Div(num, den), order)
 
 
-# (name, lhs tag, lhs multiplier, lhs residue, rhs tag, rhs multiplier, rhs residue)
+# (name, lhs tag, lhs multiplier, lhs residue, rhs tag, rhs multiplier, rhs residue):
+# lhs multiplier * lhs(5n + lhs residue) = rhs multiplier * rhs(5n + rhs residue).
 LINKING_RELATIONS = (
     ("B(5n+1) = -A(5n+3)", "B", 1, 1, "A", -1, 3),
     ("B(5n+2) = -A(5n+4)", "B", 1, 2, "A", -1, 4),
@@ -88,19 +90,26 @@ LINKING_RELATIONS = (
     ("2D(5n+4) = B(5n+3)", "D", 2, 4, "B", 1, 3),
 )
 
+# The two links of A to the partition-counting families, in the same shape;
+# ``{order}`` in a name is the order checked below.
+ORACLE_LINKS = (
+    ("A(5n+2) = 10*b25(5n) below index {order}", "A", 1, 2, "b25", 10, 0),
+    ("A(5n+3) = 5*F(5n) below index {order}", "A", 1, 3, "Fcolored", 5, 0),
+)
 
-def linking_relations(order):
-    """Check the seven cross-family coefficient identities below ``order``.
+
+def linking_relations(order, relations=LINKING_RELATIONS):
+    """Check each row of ``relations`` (by default the seven cross-family
+    coefficient identities) below ``order``.
 
     Both sides are compared for every n with 5n + residue < order.
     """
     reports = []
-    for name, ltag, lmul, lres, rtag, rmul, rres in LINKING_RELATIONS:
+    for name, ltag, lmul, lres, rtag, rmul, rres in relations:
         start = time.perf_counter()
         left = named_series(ltag, order).dissect(5, lres)
         right = named_series(rtag, order).dissect(5, rres)
         pairs = zip((lmul * v for v in left), (rmul * v for v in right))
-        reports.append(
-            make_report(name, first_violation(pairs), min(left.order, right.order), start)
-        )
+        reports.append(make_report(name.format(order=order), first_violation(pairs),
+                                   min(left.order, right.order), start))
     return reports

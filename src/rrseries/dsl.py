@@ -661,13 +661,22 @@ def _compute(node, order, path):
         left = _evaluate(node.left, order, path + ("left",))
         right = _evaluate(node.right, order, path + ("right",))
         return _RING_OPS[kind](left, right)
-    if kind is Dilate:
-        # ceil(order/t) terms dilate to (ceil(order/t) - 1)*t + 1 <= order,
-        # padded with the zeros the dilation skips
-        child = _evaluate(node.child, -(-order // node.t), path + ("child",)).dilate(node.t)
-        return Series(child.coeffs + (0,) * (order - child.order))
-    if kind is NegQ:
-        return _evaluate(node.child, order, path + ("child",)).negate_q()
+    if kind in (Dilate, NegQ):
+        # a run of wrappers around one dense node: the innermost node is
+        # evaluated once, through the cache, and the wrappers are applied
+        # going outward, so no wrapper lowers its subtree again
+        wrappers = []
+        while type(node) in (Dilate, NegQ):
+            wrappers.append((node, order))
+            order = -(-order // node.t) if type(node) is Dilate else order
+            node, path = node.child, path + ("child",)
+        value = _evaluate(node, order, path)
+        for node, order in reversed(wrappers):
+            # ceil(order/t) terms dilate to (ceil(order/t) - 1)*t + 1 <= order,
+            # padded with the zeros the dilation skips
+            value = value.negate_q() if type(node) is NegQ else Series(
+                (value.dilate(node.t).coeffs + (0,) * order)[:order])
+        return value
     # a dissection
     child = _evaluate(node.child, node.t * order, path + ("child",))
     return child.dissect(node.t, node.j).truncate(order)

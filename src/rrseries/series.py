@@ -85,9 +85,6 @@ class Series:
         tail = ", ..." if self.order > 8 else ""
         return f"Series([{head}{tail}], order={self.order})"
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def truncate(self, order):
         """Prefix of length ``order`` (a no-op when already shorter or equal)."""
         if order >= self.order:
@@ -171,12 +168,6 @@ class Series:
     def negate_q(self):
         """Substitute q -> -q."""
         return Series([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def shift(self, j):
-        """Multiply by q^j; order grows by j so no information is lost."""
-        if j < 0:
-            raise ValueError("shift must be >= 0")
-        return Series((0,) * j + self.coeffs)
 
     # -- reduction -----------------------------------------------------------
 

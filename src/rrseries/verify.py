@@ -239,49 +239,36 @@ def _scan_specs(signs, congruences, max_n, conjecture=False):
     return specs
 
 
+# (name, series, constraint, tuple length): the coefficients of the DSL
+# text ``series`` count the ordered ``tuple length``-tuples of partitions
+# whose parts obey ``constraint``.
+PARTITION_ORACLES = (
+    ("25-regular counts match f25/f1", "f25/f1", partitions.B25, 1),
+    ("two-color counts match f25*R(q^5)/f1", "f25*R(q^5)/f1", partitions.F_TWO_COLOR, 1),
+    ("5-tuple (+-1 mod 5) counts match 1/(q,q^4;q^5)^5", "1/(poch(1,5)^5*poch(4,5)^5)",
+     partitions.PM1_MOD5, 5),
+    ("5-tuple (+-2 mod 5) counts match 1/(q^2,q^3;q^5)^5", "1/(poch(2,5)^5*poch(3,5)^5)",
+     partitions.PM2_MOD5, 5),
+)
+
+
 def _oracle_reports(limit, link_limit):
-    """Partition-count cross-checks of series coefficients."""
+    """The partition oracles for n <= ``limit``, the oracle links below
+    ``link_limit`` and three spot values of D.  Each item is timed from
+    before its series and its partition counts are built."""
     reports = []
-
-    def add(name, pairs, order):
+    for name, text, constraint, tuple_length in PARTITION_ORACLES:
         start = time.perf_counter()
-        reports.append(make_report(name, first_violation(pairs), order, start))
-
-    b25_series = catalog.named_series("b25", limit + 1)
-    b25_counts = partitions.counts(partitions.B25, limit)
-    add(f"25-regular counts match f25/f1 for n <= {limit}",
-        zip(b25_counts, b25_series.coeffs), limit + 1)
-
-    f_series = catalog.named_series("Fcolored", limit + 1)
-    f_counts = partitions.counts(partitions.F_TWO_COLOR, limit)
-    add(f"two-color counts match f25*R(q^5)/f1 for n <= {limit}",
-        zip(f_counts, f_series.coeffs), limit + 1)
-
-    alpha_series = dsl.evaluate(dsl.parse("1/(poch(1,5)^5*poch(4,5)^5)"), limit + 1)
-    alpha_counts = partitions.counts(partitions.PM1_MOD5, limit, tuple_length=5)
-    add(f"5-tuple (+-1 mod 5) counts match 1/(q,q^4;q^5)^5 for n <= {limit}",
-        zip(alpha_counts, alpha_series.coeffs), limit + 1)
-
-    beta_series = dsl.evaluate(dsl.parse("1/(poch(2,5)^5*poch(3,5)^5)"), limit + 1)
-    beta_counts = partitions.counts(partitions.PM2_MOD5, limit, tuple_length=5)
-    add(f"5-tuple (+-2 mod 5) counts match 1/(q^2,q^3;q^5)^5 for n <= {limit}",
-        zip(beta_counts, beta_series.coeffs), limit + 1)
-
-    a_series = catalog.named_series("A", link_limit)
-    a2 = a_series.dissect(5, 2)
-    b25_long = catalog.named_series("b25", link_limit).dissect(5, 0)
-    add(f"A(5n+2) = 10*b25(5n) below index {link_limit}",
-        zip(a2, (10 * v for v in b25_long)), min(a2.order, b25_long.order))
-
-    a3 = a_series.dissect(5, 3)
-    f_long = catalog.named_series("Fcolored", link_limit).dissect(5, 0)
-    add(f"A(5n+3) = 5*F(5n) below index {link_limit}",
-        zip(a3, (5 * v for v in f_long)), min(a3.order, f_long.order))
-
+        series = dsl.evaluate(dsl.parse(text), limit + 1)
+        pairs = zip(partitions.counts(constraint, limit, tuple_length), series.coeffs)
+        reports.append(make_report(f"{name} for n <= {limit}", first_violation(pairs),
+                                   limit + 1, start))
+    reports.extend(catalog.linking_relations(link_limit, catalog.ORACLE_LINKS))
+    start = time.perf_counter()
     d_series = catalog.named_series("D", 14)
-    add("spot values D(3)=5, D(8)=25, D(13)=155",
-        zip((d_series[3], d_series[8], d_series[13]), (5, 25, 155)), 14)
-
+    pairs = zip((d_series[3], d_series[8], d_series[13]), (5, 25, 155))
+    reports.append(make_report("spot values D(3)=5, D(8)=25, D(13)=155",
+                               first_violation(pairs), 14, start))
     return reports
 
 

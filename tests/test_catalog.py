@@ -229,7 +229,13 @@ class TestLinking:
         assert 2 * c[1] == -a[2]
 
     def test_violations_reported(self):
-        # relations compare dissections; sanity-check report shape on pass
-        report = linking_relations(100)[0]
-        assert report.first_violation is None
-        assert report.certified_order > 0
+        # B(5n+1) = -A(5n+3) with the sign flipped fails at n = 0, by
+        # B(1) - A(3) = 2*B(1)
+        wrong = (("B(5n+1) = A(5n+3) below {order}", "B", 1, 1, "A", 1, 3),)
+        report, = linking_relations(100, wrong)
+        b, a = named_series("B", 2), named_series("A", 4)
+        assert report.name == "B(5n+1) = A(5n+3) below 100"
+        assert report.status == "fail"
+        assert report.first_violation == (0, b[1] - a[3]) == (0, 2 * b[1])
+        assert b[1] != 0
+        assert report.certified_order == 20

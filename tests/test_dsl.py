@@ -598,6 +598,21 @@ class TestThetaQuotientEngine:
         assert value == dense_oracle(parse("f1^100000*f3^100000"), 8) * (
             qfunctions.euler_f(2, 8) ** 100000).invert()
 
+    @pytest.mark.parametrize("wrapper", ["negq({})", "dilate({},1)", "dilate(negq({}),2)"])
+    def test_nested_wrappers_lower_once(self, monkeypatch, wrapper):
+        # a run of negq and dilate around a dense factor is lowered once,
+        # not once per level
+        depth, text = 99, "1+q"
+        for _ in range(depth // wrapper.count("(")):
+            text = wrapper.format(text)
+        tree = parse(text)
+        lower_parts, calls = dsl._lower_parts, []
+        monkeypatch.setattr(dsl, "_lower_parts",
+                            lambda *args: calls.append(1) or lower_parts(*args))
+        value = evaluate_fresh(tree, 10)
+        assert len(calls) <= 2 * depth
+        assert value == dense_oracle(tree, 10)
+
 
 class TestBudget:
     @pytest.mark.parametrize("text, order", [

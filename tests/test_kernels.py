@@ -209,6 +209,27 @@ class TestInvertPaths:
         last = max(i for i, c in enumerate(a) if c)
         assert got == recurrence_inverse(a[:last + 1], n)
 
+    @pytest.mark.parametrize("text, n, recurrence", [
+        # 71 nonzero terms below q^2000, 3.5% of the coefficients
+        ("f1 + q", 2000, True),
+        ("dilate(f1*f5,2) + q", 1000, True),  # 13%
+        ("f1*f2 + q", 1000, False),  # 38%: Newton, as every workload inversion
+    ])
+    def test_thin_denominator_takes_the_recurrence(self, monkeypatch, text, n, recurrence):
+        # INV_CUTOFF or more nonzero terms, but fewer than INV_DENSITY * n:
+        # the recurrence runs to the end
+        a = list(evaluate(parse(text), n).coeffs)
+        terms = [(i, c) for i, c in enumerate(a) if c and i]
+        assert len(terms) >= INV
+        assert (len(terms) < _kernels_py.INV_DENSITY * n) == recurrence
+        products = []
+        mul = _kernels_py.mul_trunc
+        monkeypatch.setattr(_kernels_py, "mul_trunc",
+                            lambda *args: products.append(1) or mul(*args))
+        got = _kernels_py.invert_trunc(a, n)
+        assert (products == []) == recurrence
+        assert got == _kernels_py.sparse_div([1], terms, n)
+
 
 BLOCK = _kernels_py.SPARSE_BLOCK
 SPARSE_ORDERS = (1, 2, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 300)

@@ -24,6 +24,11 @@ def pentagonal_oracle(order):
     return c
 
 
+def shifted(s, j):
+    """``s`` times q^j, to order ``s.order + j``."""
+    return Series((0,) * j + s.coeffs)
+
+
 def partition_oracle(order):
     """Unrestricted partition numbers by the classic coin-style DP."""
     dp = [1] + [0] * (order - 1)
@@ -183,7 +188,7 @@ class TestDilateDissect:
             return
         total = None
         for j in range(t):
-            piece = s.dissect(t, j).dilate(t).shift(j)
+            piece = shifted(s.dissect(t, j).dilate(t), j)
             total = piece if total is None else total + piece
         n = total.order
         assert total == s.truncate(n)
@@ -195,15 +200,12 @@ class TestDilateDissect:
     def test_negate_q_simple(self):
         assert Series([1, 1]).negate_q() == Series([1, -1])
 
-    def test_shift(self):
-        assert Series([1, 2]).shift(2) == Series([0, 0, 1, 2])
-
 
 class TestModSeries:
     """Reduction of an exact series mod m into [0, m)."""
 
     def test_reduce_simple(self):
-        assert Series([0, 3, 0]).reduce_mod(3).is_zero()
+        assert Series([0, 3, 0]).reduce_mod(3) == Series([0, 0, 0])
 
     def test_invalid_modulus(self):
         for m in (1, 0, -4, 2.5):
@@ -245,4 +247,4 @@ class TestModSeries:
         order = 120
         lhs = euler_f(1, order) ** 8
         rhs = euler_f(2, order) ** 4
-        assert (lhs - rhs).reduce_mod(8).is_zero()
+        assert not any((lhs - rhs).reduce_mod(8))

@@ -2,10 +2,11 @@
 
 import io
 import json
+import types
 
 import pytest
 
-from rrseries import catalog, cli, dsl, verify
+from rrseries import catalog, cli, dsl, partitions, verify
 from rrseries.dsl import evaluate, parse, parse_record
 from rrseries.report import reports_to_json, reports_to_text
 from rrseries.series import Series
@@ -224,6 +225,35 @@ class TestPeriodCheck:
         period_check(Series([1] * 8), 5, prefix=2)  # 2 and 7 compare
         with pytest.raises(ValueError, match="no residue class has two indices to compare"):
             period_check(Series([1] * 8), 5, prefix=3)
+
+
+class TestOracles:
+    def test_each_partition_oracle_times_its_own_counts(self, monkeypatch):
+        # a fake clock that moves only inside partitions.counts, by 2^i on
+        # the i-th call: each oracle's elapsed is exactly its own call's step
+        now, steps = [0], []
+        clock = types.SimpleNamespace(perf_counter=lambda: now[0])
+        for module in ("verify", "catalog", "report"):
+            monkeypatch.setattr(f"rrseries.{module}.time", clock)
+        counts = partitions.counts
+
+        def counted(*args, **kwargs):
+            steps.append(2 ** len(steps))
+            result = counts(*args, **kwargs)
+            now[0] += steps[-1]
+            return result
+
+        monkeypatch.setattr(partitions, "counts", counted)
+        reports = verify._oracle_reports(40, 60)
+        oracles = reports[:len(verify.PARTITION_ORACLES)]
+        assert [r.name for r in oracles] == [
+            f"{name} for n <= 40" for name, *_ in verify.PARTITION_ORACLES]
+        assert all(r.status == "pass" for r in reports)
+        assert [r.elapsed for r in oracles] == steps == [1, 2, 4, 8]
+        assert [r.elapsed for r in reports[len(oracles):]] == [0, 0, 0]
+        assert [r.name for r in reports[len(oracles):]] == [
+            "A(5n+2) = 10*b25(5n) below index 60", "A(5n+3) = 5*F(5n) below index 60",
+            "spot values D(3)=5, D(8)=25, D(13)=155"]
 
 
 class TestReports:
