@@ -811,8 +811,9 @@ def _unit_parts(node, path, verb):
     parts = _lower_parts(node, path)
     constant = 0 if parts[1] else parts[0]
     for factor, e in parts[2].items():
-        if type(factor) is not ThetaSpec:
-            # a factor of a negative exponent is a unit already
+        # a theta base or a poch (a >= 1) has constant term 1, and a factor
+        # of a negative exponent is a unit already
+        if type(factor) not in (ThetaSpec, Poch):
             constant *= _evaluate(factor, 1, path)[0] ** abs(e)
     try:
         require_unit(constant)

@@ -128,12 +128,22 @@ class Series:
         return Series(_backend.invert_trunc(list(self.coeffs), self.order))
 
     def __pow__(self, k):
-        """Integer power by repeated squaring; negative k inverts first."""
+        """Integer power.  A unit series with few nonzero terms (the rule of
+        ``_backend.unit_terms``) raised to |k| >= 2 takes Miller's
+        recurrence; any other power takes repeated squaring, after an
+        inversion when k < 0."""
         if not isinstance(k, int):
             raise TypeError("series exponent must be an int")
-        if k < 0:
-            return self.invert() ** -k
-        return _power(self, k) if k else Series.one(self.order)
+        a0, n = self.coeffs[0], self.order
+        if abs(k) >= 2 and a0 in (1, -1):
+            terms, sparse = _backend.unit_terms(self.coeffs, n)
+            if sparse:
+                power = _backend.sparse_power(terms, k, n)
+                # a = a0 * (1 + sum over terms), and a0^k = a0 for odd k
+                return Series([-c for c in power] if a0 == -1 and k & 1 else power)
+        if not k:
+            return Series.one(n)
+        return _power(self.invert() if k < 0 else self, abs(k))
 
     def __truediv__(self, other):
         if isinstance(other, Series):

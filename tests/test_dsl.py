@@ -314,6 +314,22 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse("(2+q)^-1"), 5)
 
+    def test_poch_denominators_are_not_built_to_order_one(self):
+        # a poch has constant term 1: checking a denominator builds no poch
+        dsl.clear_cache()
+        evaluate(parse("1/(poch(1,5)*poch(4,5))"), 30)
+        assert not [key for key in dsl._eval_cache if type(key) is Poch]
+        # partitions into parts 1 mod 7
+        expected = [1] + [0] * 59
+        for part in range(1, 60, 7):
+            for i in range(part, 60):
+                expected[i] += expected[i - part]
+        assert list(evaluate(parse("1/poch(1,7)"), 60).coeffs) == expected
+        assert evaluate_fresh(parse("1/(3*poch(1,5))"), 10) == (
+            "cannot divide: constant term 3 is not a unit in Z[[q]] in 3*poch(1,5)"
+            " (at denominator)")
+        dsl.clear_cache()
+
     def test_dissect_requests_parent_order(self):
         # dissect at period 5 certifies exactly the requested order
         s = evaluate(parse("dissect(f1, 5, 4)"), 11)

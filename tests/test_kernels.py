@@ -1,15 +1,15 @@
 """The kernels against test-local schoolbook oracles, at every size and sign.
 
-The fast paths (Kronecker multiplication, Newton inversion) take over at
-``MUL_CUTOFF`` and ``INV_CUTOFF``, so the sizes below sit on both sides
-of each cutoff.
+Newton inversion takes over at ``INV_CUTOFF``, so the inversion sizes
+below sit on both sides of it; the product sizes run from one term to
+150.
 """
 
 import random
 
 import pytest
 
-from rrseries import _backend, _kernels_py
+from rrseries import _backend
 from rrseries.dsl import evaluate, parse
 from rrseries.qfunctions import ThetaSpec, theta_terms
 from rrseries.series import Series
@@ -52,20 +52,20 @@ class TestKernels:
         for size in (1, 2, 17, 64):
             a = random_coeffs(rng, size)
             b = random_coeffs(rng, size)
-            assert _kernels_py.mul_trunc(a, b, size) == cauchy(a, b, size)
+            assert _backend.mul_trunc(a, b, size) == cauchy(a, b, size)
 
     def test_mul_asymmetric_lengths(self):
         rng = random.Random(11)
         a = random_coeffs(rng, 5)
         b = random_coeffs(rng, 40)
-        assert _kernels_py.mul_trunc(a, b, 12) == cauchy(a, b, 12)
-        assert _kernels_py.mul_trunc(b, a, 12) == cauchy(b, a, 12)
+        assert _backend.mul_trunc(a, b, 12) == cauchy(a, b, 12)
+        assert _backend.mul_trunc(b, a, 12) == cauchy(b, a, 12)
 
     def test_invert(self):
         rng = random.Random(13)
         for lead in (1, -1):
             a = [lead] + random_coeffs(rng, 63)
-            got = _kernels_py.invert_trunc(a, 64)
+            got = _backend.invert_trunc(a, 64)
             assert cauchy(a, got, 64) == [1] + [0] * 63
 
     def test_binomial_update(self):
@@ -73,7 +73,7 @@ class TestKernels:
         base = random_coeffs(rng, 50)
         for e, coef in ((0, 1), (1, -1), (7, 3), (49, -2), (60, 5)):
             got = list(base)
-            _kernels_py.binomial_update(got, e, coef, 50)
+            _backend.binomial_update(got, e, coef, 50)
             factor = [1] + [0] * 60
             factor[e] += coef
             assert got == cauchy(base, factor, 50)
@@ -82,17 +82,16 @@ class TestKernels:
         rng = random.Random(19)
         a = random_coeffs(rng, 24, bits=600)
         b = random_coeffs(rng, 24, bits=600)
-        assert _kernels_py.mul_trunc(a, b, 24) == cauchy(a, b, 24)
+        assert _backend.mul_trunc(a, b, 24) == cauchy(a, b, 24)
 
 
-MUL = _kernels_py.MUL_CUTOFF
-INV = _kernels_py.INV_CUTOFF
+INV = _backend.INV_CUTOFF
 
 
 class TestFastPaths:
     def test_mul_across_cutoff(self):
         rng = random.Random(23)
-        sizes = (1, 2, MUL - 1, MUL, MUL + 1, 2 * MUL + 3, 150)
+        sizes = (1, 2, 31, 32, 33, 67, 150)
         for la in sizes:
             for lb in sizes:
                 bits = rng.choice((1, 2, 8, 64, 300, 1100))
@@ -101,44 +100,49 @@ class TestFastPaths:
                 # n shorter than both operands, between them, one past the
                 # last product term, and beyond it
                 for n in (1, min(la, lb), max(la, lb) + 1, la + lb, la + lb + 5):
-                    assert _kernels_py.mul_trunc(a, b, n) == cauchy(a, b, n), (la, lb, n)
+                    assert _backend.mul_trunc(a, b, n) == cauchy(a, b, n), (la, lb, n)
 
     def test_mul_zero_operands(self):
         rng = random.Random(29)
-        a = random_coeffs(rng, 2 * MUL)
-        zero = [0] * (2 * MUL)
-        for n in (1, MUL, 3 * MUL):
-            assert _kernels_py.mul_trunc(a, zero, n) == [0] * n
-            assert _kernels_py.mul_trunc(zero, a, n) == [0] * n
-            assert _kernels_py.mul_trunc(zero, zero, n) == [0] * n
+        a = random_coeffs(rng, 64)
+        zero = [0] * 64
+        for n in (1, 32, 96):
+            assert _backend.mul_trunc(a, zero, n) == [0] * n
+            assert _backend.mul_trunc(zero, a, n) == [0] * n
+            assert _backend.mul_trunc(zero, zero, n) == [0] * n
+
+    def test_mul_empty_operand(self):
+        for n in (0, 1, 5):
+            assert _backend.mul_trunc([], [3, 1], n) == [0] * n
+            assert _backend.mul_trunc([3, 1], [], n) == [0] * n
+            assert _backend.mul_trunc([], [], n) == [0] * n
 
     def test_mul_one_term(self):
         rng = random.Random(31)
-        a = random_coeffs(rng, 3 * MUL, bits=900)
-        b = random_coeffs(rng, 3 * MUL, bits=900)
-        assert _kernels_py.mul_trunc(a, b, 1) == [a[0] * b[0]]
+        a = random_coeffs(rng, 96, bits=900)
+        b = random_coeffs(rng, 96, bits=900)
+        assert _backend.mul_trunc(a, b, 1) == [a[0] * b[0]]
 
     def test_square(self):
         # equal operands share one packed integer
         rng = random.Random(37)
         for bits in (1, 64, 1100):
-            a = mixed_coeffs(rng, 3 * MUL, bits)
-            n = 3 * MUL
-            assert _kernels_py.mul_trunc(a, a, n) == cauchy(a, a, n)
-            assert _kernels_py.mul_trunc(a, list(a), n) == cauchy(a, a, n)
+            a = mixed_coeffs(rng, 96, bits)
+            n = 96
+            assert _backend.mul_trunc(a, a, n) == cauchy(a, a, n)
+            assert _backend.mul_trunc(a, list(a), n) == cauchy(a, a, n)
 
     def test_mul_extreme_coefficients(self):
         # 63 = 2^6 - 1 terms of |c| = 2^bits - 1, all one sign: the product
         # coefficients need all of 2*bits + 6 bits plus the sign bit, and
         # 2*bits + 6 is a whole number of bytes, so the slot has no slack
         length = 63
-        assert length >= MUL
         for bits in (5, 61, 1021):
             top = (1 << bits) - 1
             for a in ([top] * length, [top * (-1) ** i for i in range(length)]):
                 for b in ([top] * length, [-top] * length):
                     n = 2 * length + 1
-                    assert _kernels_py.mul_trunc(a, b, n) == cauchy(a, b, n), bits
+                    assert _backend.mul_trunc(a, b, n) == cauchy(a, b, n), bits
 
     def test_invert_across_cutoff(self):
         rng = random.Random(41)
@@ -146,23 +150,14 @@ class TestFastPaths:
             for length in (1, n // 2 + 1, n, n + 7):
                 for bits in (1, 2, 8):
                     a = [rng.choice((1, -1))] + mixed_coeffs(rng, length - 1, bits)
-                    assert _kernels_py.invert_trunc(a, n) == recurrence_inverse(a, n)
+                    assert _backend.invert_trunc(a, n) == recurrence_inverse(a, n)
 
     def test_invert_huge_coefficients(self):
         rng = random.Random(43)
         for bits in (64, 1100):
             a = [-1] + mixed_coeffs(rng, INV + 16, bits)
             n = INV + 17
-            assert _kernels_py.invert_trunc(a, n) == recurrence_inverse(a, n)
-
-
-def test_active_backend_is_declared():
-    assert _backend.mul_trunc is _kernels_py.mul_trunc
-    assert _backend.invert_trunc is _kernels_py.invert_trunc
-    assert _backend.binomial_update is _kernels_py.binomial_update
-    assert _backend.sparse_power is _kernels_py.sparse_power
-    assert _backend.sparse_mul is _kernels_py.sparse_mul
-    assert _backend.sparse_div is _kernels_py.sparse_div
+            assert _backend.invert_trunc(a, n) == recurrence_inverse(a, n)
 
 
 class TestInvertPaths:
@@ -171,15 +166,15 @@ class TestInvertPaths:
         rng = random.Random(47)
         n = 300
         a = [-1] + [rng.randrange(-999, 1000) for _ in range(n - 1)]
-        assert _kernels_py._grows_steeply(recurrence_inverse(a, 38))
+        assert _backend._grows_steeply(recurrence_inverse(a, 38))
         products = []
-        mul = _kernels_py.mul_trunc
-        monkeypatch.setattr(_kernels_py, "mul_trunc",
+        mul = _backend._mul
+        monkeypatch.setattr(_backend, "_mul",
                             lambda *args: products.append(1) or mul(*args))
-        chosen = _kernels_py.invert_trunc(a, n)
+        chosen = _backend.invert_trunc(a, n)
         assert products == []
-        monkeypatch.setattr(_kernels_py, "STEEP_BITS", 10**9)
-        newton = _kernels_py.invert_trunc(a, n)
+        monkeypatch.setattr(_backend, "STEEP_BITS", 10**9)
+        newton = _backend.invert_trunc(a, n)
         assert products
         assert chosen == newton == recurrence_inverse(a, n)
 
@@ -188,7 +183,7 @@ class TestInvertPaths:
         # grows by under one bit per term
         rng = random.Random(53)
         a = [1] + [rng.choice((-1, 0, 1)) for _ in range(499)]
-        assert not _kernels_py._grows_steeply(recurrence_inverse(a, 63))
+        assert not _backend._grows_steeply(recurrence_inverse(a, 63))
 
     @pytest.mark.parametrize("text, n", [
         ("1 - 1000*q", 300), ("1 - 3*q - 5*q^2", 300), ("1 + q^3 - 2*q^7 + q^50", 3000),
@@ -201,10 +196,10 @@ class TestInvertPaths:
         a = list(evaluate(parse(text), n).coeffs)
         assert sum(1 for c in a if c) < INV
         products = []
-        mul = _kernels_py.mul_trunc
-        monkeypatch.setattr(_kernels_py, "mul_trunc",
+        mul = _backend._mul
+        monkeypatch.setattr(_backend, "_mul",
                             lambda *args: products.append(1) or mul(*args))
-        got = _kernels_py.invert_trunc(a, n)
+        got = _backend.invert_trunc(a, n)
         assert products == []
         last = max(i for i, c in enumerate(a) if c)
         assert got == recurrence_inverse(a[:last + 1], n)
@@ -221,17 +216,17 @@ class TestInvertPaths:
         a = list(evaluate(parse(text), n).coeffs)
         terms = [(i, c) for i, c in enumerate(a) if c and i]
         assert len(terms) >= INV
-        assert (len(terms) < _kernels_py.INV_DENSITY * n) == recurrence
+        assert (len(terms) < _backend.INV_DENSITY * n) == recurrence
         products = []
-        mul = _kernels_py.mul_trunc
-        monkeypatch.setattr(_kernels_py, "mul_trunc",
+        mul = _backend._mul
+        monkeypatch.setattr(_backend, "_mul",
                             lambda *args: products.append(1) or mul(*args))
-        got = _kernels_py.invert_trunc(a, n)
+        got = _backend.invert_trunc(a, n)
         assert (products == []) == recurrence
-        assert got == _kernels_py.sparse_div([1], terms, n)
+        assert got == _backend.sparse_div([1], terms, n)
 
 
-BLOCK = _kernels_py.SPARSE_BLOCK
+BLOCK = _backend.SPARSE_BLOCK
 SPARSE_ORDERS = (1, 2, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 300)
 
 # Sparse bases: theta functions, some dilated, one with coefficients 2
@@ -266,17 +261,21 @@ def sparse_base(name, n):
 @pytest.mark.parametrize("name", [*SPARSE_BASES, "wide"])
 class TestSparseKernels:
     """Miller's power, the sparse product and the sparse quotient against the
-    dense oracles: ``Series.__pow__``, ``_mul_schoolbook`` and
+    dense oracles: repeated ``Series`` products, ``cauchy`` and
     ``recurrence_inverse``, on both sides of each block edge."""
 
     def test_power(self, name):
         for n in SPARSE_ORDERS:
             terms, dense = sparse_base(name, n)
+            inverse = Series(recurrence_inverse(dense, n))
             for alpha in range(-7, 8):
                 if name == "wide" and n > 65 and abs(alpha) > 2:
-                    continue  # the oracle's squarings of wide series take seconds
-                expected = list((Series(dense) ** alpha).coeffs)
-                assert _kernels_py.sparse_power(terms, alpha, n) == expected, (n, alpha)
+                    continue  # the oracle's products of wide series take seconds
+                expected = Series.one(n)
+                for _ in range(abs(alpha)):
+                    expected *= inverse if alpha < 0 else Series(dense)
+                expected = list(expected.coeffs)
+                assert _backend.sparse_power(terms, alpha, n) == expected, (n, alpha)
 
     def test_mul_and_div(self, name):
         rng = random.Random(67)
@@ -285,8 +284,8 @@ class TestSparseKernels:
             inverse = recurrence_inverse(dense, n)
             for length in (1, n // 2 + 1, n, n + 3):
                 a = mixed_coeffs(rng, length, rng.choice((1, 8, 200)))
-                product = _kernels_py._mul_schoolbook(a, dense, n)
-                quotient = _kernels_py._mul_schoolbook(a, inverse, n)
-                assert _kernels_py.sparse_mul(a, terms, n) == product, (n, length)
-                assert _kernels_py.sparse_div(a, terms, n) == quotient, (n, length)
-                assert _kernels_py.sparse_div(product, terms, n) == a[:n] + [0] * (n - length)
+                product = cauchy(a, dense, n)
+                quotient = cauchy(a, inverse, n)
+                assert _backend.sparse_mul(a, terms, n) == product, (n, length)
+                assert _backend.sparse_div(a, terms, n) == quotient, (n, length)
+                assert _backend.sparse_div(product, terms, n) == a[:n] + [0] * (n - length)

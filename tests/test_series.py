@@ -1,10 +1,14 @@
 """Series core: ring operations, truncation contract, dissection algebra."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrseries import _backend
+from rrseries import _backend, dsl
+from rrseries.dsl import evaluate, parse
 from rrseries.errors import InvalidModulus, NonUnitConstantTerm, ResidueOutOfRange
 from rrseries.series import Series
 
@@ -129,6 +133,46 @@ class TestPow:
     @settings(max_examples=40)
     def test_additivity(self, s, m, n):
         assert s ** (m + n) == (s**m) * (s**n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sparse_unit_base_takes_millers_recurrence(self, count_kernel_calls, sign):
+        base = Series([sign, 0, -3, 0, 0, 5] + [0] * 20 + [2, 0, 0, -1] + [0] * 170)
+        inverse = base.invert()
+        calls = count_kernel_calls()
+        for k in range(-7, 8):
+            expected = Series.one(base.order)
+            for _ in range(abs(k)):
+                expected = expected * (inverse if k < 0 else base)
+            calls.clear()
+            assert base ** k == expected, k
+            # k = -1 is one inversion, k = 1 the base and k = 0 one
+            assert (calls == ["sparse_power"]) == (abs(k) >= 2), (k, calls)
+
+    def test_other_bases_take_repeated_squaring(self, count_kernel_calls):
+        rng = random.Random(3)
+        # 99 nonzero terms after the constant: more than INV_CUTOFF and than
+        # INV_DENSITY * 100
+        dense = Series([1] + [rng.choice((-2, -1, 1, 2)) for _ in range(99)])
+        calls = count_kernel_calls()
+        assert Series([2, 1, 0, 0, 0, 0]) ** 3 == Series([8, 12, 6, 1, 0, 0])
+        assert calls == ["mul_trunc"] * 2
+        # k = 2 is one squaring, |k| = 3 a squaring and one product
+        for k, products in ((2, 1), (3, 2), (-3, 2)):
+            expected = Series.one(100)
+            for _ in range(abs(k)):
+                expected = expected * (dense.invert() if k < 0 else dense)
+            calls.clear()
+            assert dense ** k == expected
+            assert "sparse_power" not in calls
+            assert calls.count("mul_trunc") == products
+
+    def test_binomial_power_is_one_recurrence(self, count_kernel_calls):
+        dsl.clear_cache()
+        calls = count_kernel_calls()
+        value = evaluate(parse("(1+q)^1000000"), 1000)
+        assert calls.count("sparse_power") == 1 and "mul_trunc" not in calls
+        assert list(value.coeffs[:50]) == [math.comb(10**6, i) for i in range(50)]
+        dsl.clear_cache()
 
 
 class TestRingLaws:
