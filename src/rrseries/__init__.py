@@ -26,12 +26,9 @@ from .errors import (
 from .partitions import PartConstraint, check_alpha_beta, count, count_tuples
 from .qfunctions import (
     ThetaSpec,
-    chi,
     euler_f,
-    phi,
     pochhammer_fin,
     pochhammer_inf,
-    psi,
     theta_general,
     theta_product,
 )

@@ -21,7 +21,8 @@ ints, so the kernels are exact at any size.
   ``STEEP_BITS`` or more bits per term, the recurrence runs to the end:
   Newton would multiply two wide series where the recurrence multiplies
   a narrow one by a wide one.
-- ``binomial_update`` is one ``sparse_mul`` by a single term.
+- ``binomial_update`` adds coef times the shifted list to itself in
+  place, with one slice assignment.
 
 The same rule routes ``Series.__pow__``: a unit series with few nonzero
 terms is raised to |k| >= 2 by ``sparse_power``, any other power by
@@ -74,10 +75,10 @@ SPARSE_BLOCK = 128
 
 # Growth of the inverse, in bits per term, from which the recurrence beats
 # Newton iteration at every order.  At order 2000 on a 2-vCPU host with
-# CPython 3.11, 1/(1 - 3q - 5q^2) (2.3 bits per term) takes 2.5 ms by the
-# recurrence against 70 ms by Newton, while 1/f1^24 (1.2 bits per term
-# near the base, sublinear beyond) takes 0.6 s by the recurrence against
-# 0.45 s by Newton.
+# CPython 3.11, the dense 1/(1 - 4q/(1-q)) (2.32 bits per term) takes
+# 0.57 s by the recurrence against 2.0 s by Newton, while 1/f1^24 (1.2 bits
+# per term near the base, sublinear beyond) takes 0.6 s by the recurrence
+# against 0.45 s by Newton.
 STEEP_BITS = 2
 
 
@@ -184,7 +185,7 @@ def _grows_steeply(b):
 
 def binomial_update(c, e, coef, n):
     """In place: multiply list ``c`` by the binomial (1 + coef*q^e), truncated to ``n``."""
-    c[:n] = sparse_mul(c, ((e, coef),), n)
+    c[e:n] = map(add, c[e:n], map(mul, c[:n - e], itertools.repeat(coef)))
 
 
 def sparse_mul(a, terms, n):

@@ -1,8 +1,9 @@
 """Constructors for the classical q-objects.
 
 Pochhammer products (q^a; q^m)_inf and their finite versions, and
-Ramanujan's theta function f(a, b) with its specializations phi, psi,
-chi and the Euler products f_k = (q^k; q^k)_inf = f(-q^k, -q^(2k)).
+Ramanujan's theta function f(a, b) with the Euler products
+f_k = (q^k; q^k)_inf = f(-q^k, -q^(2k)).  Its other specializations
+(phi, psi, chi, G, H, R) are theta quotients of the identity DSL.
 A :class:`ThetaSpec` with both exponents >= 1 is a base of the
 evaluator's theta quotients: ``theta_terms`` gives its few nonzero
 terms, and its ``dilate`` and ``negate_q`` follow the substitutions
@@ -28,46 +29,6 @@ from .errors import InvalidTheta
 from .series import Series
 
 
-def _binomial_product(factors, order):
-    """Product of (1 + coef*q^e) over ``factors`` (pairs (e, coef)), truncated.
-
-    ``factors`` must come in increasing exponent order: the product stops
-    at the first exponent >= ``order``, so a long finite product costs no
-    more than the truncation needs.
-    """
-    c = [1] + [0] * (order - 1)
-    for e, coef in factors:
-        if e >= order:
-            break
-        _backend.binomial_update(c, e, coef, order)
-    return Series(c)
-
-
-def _euler_sum(sign, a, ratio_sign, m, order):
-    """(x; p)_inf with x = sign*q^a and p = ratio_sign*q^m, truncated.
-
-    Euler's identity (x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k.
-    Term k is term k-1 times -p^(k-1)*x, divided by (1 - p^k); it starts
-    at exponent a*k + m*k(k-1)/2, so about sqrt(2*order/m) terms reach
-    below ``order`` and the cost is O(order^1.5 / sqrt(m)) instead of the
-    O(order^2 / m) of multiplying in one binomial per factor.
-    """
-    term = [1] + [0] * (order - 1)  # term k's coefficients from its start exponent on
-    c = list(term)
-    start = 0
-    k = 1
-    while True:
-        start += a + m * (k - 1)
-        if start >= order:
-            break
-        step = -sign * ratio_sign ** (k - 1)
-        term = [step * t for t in term[: order - start]]
-        _divide_binomial(term, ratio_sign**k, m * k)
-        c[start:] = map(operator.add, c[start:], term)
-        k += 1
-    return Series(c)
-
-
 def _divide_binomial(c, sign, e):
     """In place: divide list ``c`` by (1 - sign*q^e), truncated to its length."""
     if sign < 0:
@@ -82,7 +43,7 @@ def pochhammer_inf(a, m, order):
     """(q^a; q^m)_inf = prod_{k>=0} (1 - q^(a + k*m)), truncated to ``order``."""
     if a < 1 or m < 1:
         raise ValueError("pochhammer_inf needs a >= 1 and m >= 1")
-    return _euler_sum(1, a, 1, m, order)
+    return signed_pochhammer_inf(1, a, 1, m, order)
 
 
 def pochhammer_fin(a, m, n, order):
@@ -91,7 +52,10 @@ def pochhammer_fin(a, m, n, order):
         raise ValueError("pochhammer_fin needs n >= 0")
     if a < 1 or m < 1:
         raise ValueError("pochhammer_fin needs a >= 1 and m >= 1")
-    return _binomial_product(((a + k * m, -1) for k in range(n)), order)
+    c = [1] + [0] * (order - 1)
+    for e in range(a, min(a + n * m, order), m):
+        _backend.binomial_update(c, e, -1, order)
+    return Series(c)
 
 
 def signed_pochhammer_inf(sign, a, ratio_sign, m, order):
@@ -101,12 +65,32 @@ def signed_pochhammer_inf(sign, a, ratio_sign, m, order):
     (-q^a; q^m)_inf is ``signed_pochhammer_inf(-1, a, +1, m, N)``.  The
     exponent ``a`` may be 0 (the factor degenerates to the constant
     1 - sign), but ``m`` must be positive so the product terminates.
+
+    With x = sign*q^a and p = ratio_sign*q^m this is Euler's identity
+    (x; p)_inf = sum_k (-1)^k p^(k(k-1)/2) x^k / (p; p)_k.  Term k is term
+    k-1 times -p^(k-1)*x, divided by (1 - p^k); it starts at exponent
+    a*k + m*k(k-1)/2, so about sqrt(2*order/m) terms reach below ``order``
+    and the cost is O(order^1.5 / sqrt(m)) instead of the O(order^2 / m)
+    of multiplying in one binomial per factor.
     """
     if m < 1:
         raise ValueError("ratio exponent m must be >= 1")
     if a < 0:
         raise ValueError("exponent a must be >= 0")
-    return _euler_sum(sign, a, ratio_sign, m, order)
+    term = [1] + [0] * (order - 1)  # term k's coefficients from its start exponent on
+    c = list(term)
+    start = 0
+    k = 1
+    while True:
+        start += a + m * (k - 1)
+        if start >= order:
+            break
+        step = -sign * ratio_sign ** (k - 1)
+        term = [step * t for t in term[: order - start]]
+        _divide_binomial(term, ratio_sign**k, m * k)
+        c[start:] = map(operator.add, c[start:], term)
+        k += 1
+    return Series(c)
 
 
 def euler_f(k, order):
@@ -193,18 +177,3 @@ def theta_product(spec, order):
     p2 = signed_pochhammer_inf(-sb, s, sab, m, order)
     p3 = signed_pochhammer_inf(sab, m, sab, m, order)
     return p1 * p2 * p3
-
-
-def phi(order):
-    """phi(q) = f(q, q) = 1 + 2q + 2q^4 + 2q^9 + ..."""
-    return theta_general(ThetaSpec(1, 1, 1, 1), order)
-
-
-def psi(order):
-    """psi(q) = f(q, q^3) = sum_{k>=0} q^(k(k+1)/2)."""
-    return theta_general(ThetaSpec(1, 1, 1, 3), order)
-
-
-def chi(order):
-    """chi(q) = (-q; q^2)_inf."""
-    return signed_pochhammer_inf(-1, 1, 1, 2, order)

@@ -108,17 +108,12 @@ class Series:
     def __neg__(self):
         return Series([-c for c in self.coeffs])
 
-    def scalar_mul(self, k):
-        return Series([k * c for c in self.coeffs])
-
     def __rmul__(self, k):
-        if isinstance(k, int):
-            return self.scalar_mul(k)
-        return NotImplemented
+        return self * k if isinstance(k, int) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scalar_mul(other)
+            return Series([other * c for c in self.coeffs])
         n = min(self.order, other.order)
         return Series(_backend.mul_trunc(list(self.coeffs), list(other.coeffs), n))
 

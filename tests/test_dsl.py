@@ -388,8 +388,12 @@ def dense_oracle(node, order, path=()):
             qfunctions.ThetaSpec(node.sign_a, node.r, node.sign_b, node.s), order)
     if isinstance(node, Fun):
         inner = -(-order // node.t)
-        if node.name in ("phi", "psi", "chi"):
-            value = getattr(qfunctions, node.name)(inner)
+        if node.name == "phi":
+            value = qfunctions.theta_product(qfunctions.ThetaSpec(1, 1, 1, 1), inner)
+        elif node.name == "psi":
+            value = qfunctions.theta_product(qfunctions.ThetaSpec(1, 1, 1, 3), inner)
+        elif node.name == "chi":
+            value = qfunctions.signed_pochhammer_inf(-1, 1, 1, 2, inner)
         else:
             g = (qfunctions.pochhammer_inf(1, 5, inner)
                  * qfunctions.pochhammer_inf(4, 5, inner)).invert()

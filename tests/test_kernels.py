@@ -71,7 +71,7 @@ class TestKernels:
     def test_binomial_update(self):
         rng = random.Random(17)
         base = random_coeffs(rng, 50)
-        for e, coef in ((0, 1), (1, -1), (7, 3), (49, -2), (60, 5)):
+        for e, coef in ((0, 1), (0, -1), (0, 3), (1, -1), (7, 3), (49, -2), (50, 5), (60, 5)):
             got = list(base)
             _backend.binomial_update(got, e, coef, 50)
             factor = [1] + [0] * 60

@@ -7,17 +7,18 @@ from rrseries import dsl
 from rrseries.errors import InvalidTheta, ParseError
 from rrseries.qfunctions import (
     ThetaSpec,
-    chi,
     euler_f,
-    phi,
     pochhammer_fin,
     pochhammer_inf,
-    psi,
     signed_pochhammer_inf,
     theta_general,
     theta_product,
 )
 from rrseries.series import Series
+
+# phi(q) = f(q, q) and psi(q) = f(q, q^3)
+PHI = ThetaSpec(1, 1, 1, 1)
+PSI = ThetaSpec(1, 1, 1, 3)
 
 
 def theta_oracle(sign_a, r, sign_b, s, order):
@@ -127,10 +128,10 @@ class TestTheta:
             ThetaSpec(1, 0, 1, 0)
 
     def test_phi_prefix(self):
-        assert phi(11).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0)
+        assert theta_general(PHI, 11).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0)
 
     def test_psi_prefix(self):
-        assert psi(11).coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1)
+        assert theta_general(PSI, 11).coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1)
 
     @pytest.mark.parametrize("sa,r,sb,s", [
         (1, 1, 1, 1), (1, 1, 1, 3), (-1, 1, -1, 2), (1, 3, 1, 15),
@@ -154,13 +155,13 @@ class TestTheta:
     def test_named_specializations(self):
         order = 100
         f1, f2, f4 = (euler_f(k, order) for k in (1, 2, 4))
-        assert phi(order) * f1 * f1 * f4 * f4 == f2**5
-        assert psi(order) * f1 == f2 * f2
-        assert chi(order) * f1 * f4 == f2 * f2
+        assert theta_general(PHI, order) * f1 * f1 * f4 * f4 == f2**5
+        assert theta_general(PSI, order) * f1 == f2 * f2
+        assert signed_pochhammer_inf(-1, 1, 1, 2, order) * f1 * f4 == f2 * f2
         assert pochhammer_inf(1, 2, order) * f2 == f1
 
     def test_psi_three_dissection_residue_two_vanishes(self):
-        assert not any(psi(300).dissect(3, 2))
+        assert not any(theta_general(PSI, 300).dissect(3, 2))
 
 
 class TestEtaQuotient:
