@@ -23,7 +23,7 @@ from .errors import (
     SpecOutOfRange,
     UnknownSymbol,
 )
-from .partitions import PartConstraint, check_alpha_beta, count, count_tuples
+from .partitions import PartConstraint, check_alpha_beta
 from .qfunctions import (
     ThetaSpec,
     euler_f,

@@ -1,10 +1,11 @@
 """Combinatorial partition counting, independent of the series engine.
 
 Counts (colored) partitions whose parts are restricted by residue class,
-by dynamic programming over the allowed colored parts.  A brute-force
-recursive enumerator doubles as a small-n oracle for the DP, and ordered
+by dynamic programming over the allowed colored parts.  Ordered
 k-tuples of constrained partitions reduce to the colored count with the
-color multiplicities scaled by k.
+color multiplicities scaled by k.  The brute-force enumerator that
+checks the DP at small n lives with the tests
+(``tests/partition_oracles.py``).
 
 Used to cross-validate series coefficients (25-regular partitions
 against f_25/f_1, the two-color count against f_25 R(q^5)/f_1, and the
@@ -59,6 +60,8 @@ def counts(constraint, limit, tuple_length=1):
     count multiplied by k, so one DP covers both cases.  Each colored
     part is an independent item with unbounded multiplicity.
     """
+    if limit < 0 or tuple_length < 1:
+        raise ValueError("need limit >= 0 and tuple_length >= 1")
     dp = [1] + [0] * limit
     for part in range(1, limit + 1):
         k = constraint.colors_of(part) * tuple_length
@@ -66,62 +69,6 @@ def counts(constraint, limit, tuple_length=1):
             for total in range(part, limit + 1):
                 dp[total] += dp[total - part]
     return dp
-
-
-def count(n, constraint):
-    """Number of constrained colored partitions of n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return counts(constraint, n)[n]
-
-
-def count_tuples(n, constraint, k):
-    """Number of ordered k-tuples of constrained partitions summing to n."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    return counts(constraint, n, tuple_length=k)[n]
-
-
-def enumerate_partitions(n, constraint):
-    """All constrained colored partitions of n, by explicit recursion.
-
-    A partition is a tuple of (part, color) pairs, nonincreasing, with
-    color indices below the part's color count.  Exponential; intended
-    as the small-n oracle for the DP.
-    """
-    results = []
-
-    def descend(remaining, max_item, chosen):
-        if remaining == 0:
-            results.append(tuple(chosen))
-            return
-        for part in range(min(remaining, max_item[0]), 0, -1):
-            ncolors = constraint.colors_of(part)
-            if not ncolors:
-                continue
-            top_color = ncolors - 1 if part < max_item[0] else max_item[1]
-            for color in range(top_color, -1, -1):
-                chosen.append((part, color))
-                descend(remaining - part, (part, color), chosen)
-                chosen.pop()
-
-    descend(n, (n, constraint.colors_of(n) - 1 if n else 0), [])
-    return results
-
-
-def count_tuples_naive(n, constraint, k):
-    """Ordered k-tuples by explicit enumeration of the component sums."""
-    per_n = [len(enumerate_partitions(i, constraint)) for i in range(n + 1)]
-
-    def ways(remaining, slots):
-        if slots == 1:
-            return per_n[remaining]
-        return sum(
-            per_n[first] * ways(remaining - first, slots - 1)
-            for first in range(remaining + 1)
-        )
-
-    return ways(n, k)
 
 
 def check_alpha_beta(limit):

@@ -108,14 +108,15 @@ class Series:
     def __neg__(self):
         return Series([-c for c in self.coeffs])
 
-    def __rmul__(self, k):
-        return self * k if isinstance(k, int) else NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Series([other * c for c in self.coeffs])
+        if not isinstance(other, Series):
+            return NotImplemented
         n = min(self.order, other.order)
         return Series(_backend.mul_trunc(list(self.coeffs), list(other.coeffs), n))
+
+    __rmul__ = __mul__
 
     def invert(self):
         """Multiplicative inverse; the constant term must be +1 or -1."""
@@ -141,9 +142,7 @@ class Series:
         return _power(self.invert() if k < 0 else self, abs(k))
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.invert()
-        return NotImplemented
+        return self * other.invert() if isinstance(other, Series) else NotImplemented
 
     # -- substitution and dissection ----------------------------------------
 

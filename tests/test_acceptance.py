@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from partition_oracles import enumerate_partitions
 
 from rrseries import catalog, dsl, partitions, qfunctions, verify
 from rrseries.catalog import f_mrs, linking_relations, named_series
@@ -290,8 +291,8 @@ def test_criterion_9_property_suites():
     for constraint in (partitions.B25, partitions.F_TWO_COLOR,
                        partitions.PM1_MOD5, partitions.PM2_MOD5):
         for n in range(11):
-            ok = ok and partitions.count(n, constraint) == len(
-                partitions.enumerate_partitions(n, constraint))
+            ok = ok and partitions.counts(constraint, n)[n] == len(
+                enumerate_partitions(n, constraint))
 
     announce(9, "property suites (ring laws, inversion, reassembly, "
                 "triple product sweep at 200, pentagonal path, DP vs "

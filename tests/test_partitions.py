@@ -1,8 +1,8 @@
 """Partition counting: DP against brute-force enumeration and known values."""
 
 import pytest
+from partition_oracles import count_tuples_naive, enumerate_partitions
 
-from rrseries import partitions
 from rrseries.partitions import (
     B25,
     F_TWO_COLOR,
@@ -10,11 +10,7 @@ from rrseries.partitions import (
     PM2_MOD5,
     PartConstraint,
     check_alpha_beta,
-    count,
-    count_tuples,
-    count_tuples_naive,
     counts,
-    enumerate_partitions,
 )
 
 ALL_CONSTRAINTS = [B25, F_TWO_COLOR, PM1_MOD5, PM2_MOD5]
@@ -23,7 +19,7 @@ ALL_CONSTRAINTS = [B25, F_TWO_COLOR, PM1_MOD5, PM2_MOD5]
 class TestCount:
     def test_empty_partition(self):
         for c in ALL_CONSTRAINTS:
-            assert count(0, c) == 1
+            assert counts(c, 0)[0] == 1
 
     def test_unrestricted_prefix(self):
         # below 25 the 25-regular counts are the ordinary partition numbers
@@ -43,7 +39,10 @@ class TestCount:
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            count(-1, B25)
+            counts(B25, -1)
+        for tuple_length in (0, -1):
+            with pytest.raises(ValueError):
+                counts(PM1_MOD5, 5, tuple_length=tuple_length)
 
     def test_invalid_constraint(self):
         with pytest.raises(ValueError):
@@ -56,7 +55,7 @@ class TestDpVsEnumeration:
     @pytest.mark.parametrize("constraint", ALL_CONSTRAINTS)
     def test_counts_match_enumeration(self, constraint):
         for n in range(11):
-            assert count(n, constraint) == len(enumerate_partitions(n, constraint))
+            assert counts(constraint, n)[n] == len(enumerate_partitions(n, constraint))
 
     def test_enumeration_has_no_duplicates(self):
         for n in range(9):
@@ -66,27 +65,27 @@ class TestDpVsEnumeration:
     @pytest.mark.parametrize("constraint", [PM1_MOD5, PM2_MOD5])
     def test_tuple_counts_match_enumeration(self, constraint):
         for n in range(9):
-            assert count_tuples(n, constraint, 5) == count_tuples_naive(n, constraint, 5)
+            assert counts(constraint, n, 5)[n] == count_tuples_naive(n, constraint, 5)
 
     def test_tuple_count_is_colored_count(self):
         scaled = PartConstraint(5, {1: 5, 4: 5})
         for n in range(12):
-            assert count_tuples(n, PM1_MOD5, 5) == count(n, scaled)
+            assert counts(PM1_MOD5, n, 5)[n] == counts(scaled, n)[n]
 
 
 class TestAlphaBeta:
     def test_alpha_one(self):
         # a single part 1 in one of the five tuple slots
-        assert count_tuples(1, PM1_MOD5, 5) == 5
+        assert counts(PM1_MOD5, 1, 5)[1] == 5
 
     def test_beta_one_and_two(self):
-        assert count_tuples(1, PM2_MOD5, 5) == 0
-        assert count_tuples(2, PM2_MOD5, 5) == 5
+        assert counts(PM2_MOD5, 1, 5)[1] == 0
+        assert counts(PM2_MOD5, 2, 5)[2] == 5
 
     def test_alpha_beta_by_enumeration(self):
         alpha3 = count_tuples_naive(3, PM1_MOD5, 5)
         beta2 = count_tuples_naive(2, PM2_MOD5, 5)
-        assert count_tuples(3, PM1_MOD5, 5) == alpha3
+        assert counts(PM1_MOD5, 3, 5)[3] == alpha3
         assert alpha3 >= 5 * beta2
 
     def test_inequality_holds(self):

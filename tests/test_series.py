@@ -71,6 +71,14 @@ class TestBasics:
         q = Series([0, 1, 0, 0])
         assert 11 * q == Series([0, 11, 0, 0])
 
+    @pytest.mark.parametrize("other", [2.5, "x"])
+    def test_mul_by_non_int_scalar_is_type_error(self, other):
+        s = Series([1, 2, 3])
+        with pytest.raises(TypeError):
+            s * other
+        with pytest.raises(TypeError):
+            other * s
+
     def test_min_order_contract(self):
         a = Series([1, 2, 3, 4, 5])
         b = Series([1, 1, 1])
