@@ -565,11 +565,13 @@ def evaluate(node, order):
     denominator to be +1 or -1.  A parameter out of range never gets
     here: every node checks its fields when it is built.  A tree that
     needs an order above MAX_ORDER or an exponent above MAX_EXPONENT
-    raises :class:`BudgetExceeded` before anything is built.
+    raises :class:`BudgetExceeded` before anything is built, and so does
+    one whose powers of one dense factor, or whose integers, multiply
+    past the budget once lowering has combined them.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _evaluate(node, order, ())
+    return _evaluate(node, order, None)
 
 
 def _lookup(key, order):
@@ -581,27 +583,27 @@ def _lookup(key, order):
     return None
 
 
-def _store(key, value):
-    """Cache ``value`` for ``key`` unless a longer one is there."""
-    with _eval_lock:
-        hit = _eval_cache.get(key)
-        if hit is None or hit.order < value.order:
-            _eval_cache[key] = value
-    return value
+def _evaluate(key, order, path=()):
+    """``key``, a node found at ``path`` or a Product, to ``order``: the
+    cached value, or one built and cached unless a longer one is there.
 
-
-def _evaluate(node, order, path):
-    value = _lookup(node, order)
+    ``path`` is None for a call of :func:`evaluate`, whose tree is checked
+    against the budget once, on a miss and before anything is built.
+    """
+    value = _lookup(key, order)
     if value is not None:
         return value
-    if not path:
-        check_budget(node, order)
-    value = _compute(node, order, path)
+    if path is None:
+        check_budget(key, order)
+        path = ()
+    value = _product_series(key, order) if type(key) is Product else _compute(key, order, path)
     if value.order != order:
-        raise AssertionError(
-            f"internal: expected order {order}, got {value.order} for {unparse(node)}"
-        )
-    return _store(node, value)
+        raise AssertionError(f"internal: expected order {order}, got {value.order} for {key!r}")
+    with _eval_lock:
+        hit = _eval_cache.get(key)
+        if hit is None or hit.order < order:
+            _eval_cache[key] = value
+    return value
 
 
 def check_budget(node, order, power=1):
@@ -628,11 +630,11 @@ def check_budget(node, order, power=1):
         outer, power = power, power * max(abs(node.exponent), 1)
         bits = check_budget(node.base, order, power)
         if power * bits > MAX_EXPONENT:
-            around = f", raised to {outer} by the powers around it," if outer > 1 else ""
-            width = f", times the {bits} bits of its largest integer," if bits > 1 else ""
+            around = f", raised to {outer} by the powers around it" if outer > 1 else ""
+            width = f", times the {bits} bits of its largest integer" if bits > 1 else ""
             raise BudgetExceeded(
-                f"exponent {node.exponent} in {unparse(node)}{around}{width} is above the"
-                f" budget of {MAX_EXPONENT}"
+                f"exponent {node.exponent} in {unparse(node)}{around}{width}"
+                f"{',' if around or width else ''} is above the budget of {MAX_EXPONENT}"
             )
         return bits
     if isinstance(node, Dissect):
@@ -650,7 +652,7 @@ def _compute(node, order, path):
     if not isinstance(node, _DENSE_LEAVES):
         product = _lower(node, path)
         if product != Product(1, 0, (), ((node, 1),)):
-            return _evaluate_product(product, order, path)
+            return _evaluate(product, order)
     # the node is its own single dense factor
     kind = type(node)
     if kind is Poch:
@@ -689,12 +691,13 @@ def _compute(node, order, path):
 class Product(Record):
     """c * q^k * prod theta^e * prod dense^e: the normal form of a tree.
 
-    ``thetas`` holds sorted (ThetaSpec, e) pairs, each spec canonical with
-    both exponents >= 1, so each base is a sparse series with constant
-    term 1.  ``dense`` holds (node, e) pairs, sorted by the node's text,
-    for the factors that are no theta: a poch(a,m) that found no partner,
-    and each largest sum, difference, dissection or finite product, under
-    the ``dilate`` and ``negq`` around it.  Every e is nonzero, k is >= 0,
+    ``thetas`` holds (ThetaSpec, e) pairs in the order
+    :func:`_theta_quotient` builds them (:func:`_build_order`), each spec
+    canonical with both exponents >= 1, so each base is a sparse series
+    with constant term 1.  ``dense`` holds (node, e) pairs, sorted by the
+    node's text, for the factors that are no theta: a poch(a,m) that
+    found no partner, and each largest sum, difference, dissection or
+    finite product, under the ``dilate`` and ``negq`` around it.  Every e is nonzero, k is >= 0,
     and c = 0 only in the zero product, which has no factors.  A record
     of its own type, so it never equals a node key of the cache.
     """
@@ -738,22 +741,30 @@ def _lower(node, path):
     c, k, factors = _lower_parts(node, path)
     if c == 0:
         return Product(0, 0, (), ())
+    # the factors are combined now: the budget counts the integers, and each
+    # dense factor as one power, however many powers of the tree it sums
+    if c.bit_length() > MAX_EXPONENT:
+        raise BudgetExceeded(f"the integers in {unparse(node)} multiply to {c.bit_length()}"
+                             f" bits, above the budget of {MAX_EXPONENT}")
     thetas, dense = {}, []
     for factor, e in _pair(factors).items():
         if type(factor) is ThetaSpec:
             spec = factor.canonical()
             thetas[spec] = thetas.get(spec, 0) + e
         else:
+            check_budget(Pow(factor, e), 1)
             dense.append((factor, e))
-    thetas = sorted(((spec, e) for spec, e in thetas.items() if e), key=_base_key)
+    thetas = sorted(((spec, e) for spec, e in thetas.items() if e), key=_build_order)
     dense.sort(key=lambda item: unparse(item[0]))
     return Product(c, k, tuple(thetas), tuple(dense))
 
 
-def _base_key(item):
-    """The order of the (ThetaSpec, e) pairs in ``Product.thetas``."""
-    spec = item[0]
-    return spec.r, spec.s, spec.sign_a, spec.sign_b
+def _build_order(item):
+    """The sort key of the (ThetaSpec, e) pairs in ``Product.thetas``:
+    largest |e| first; among equal |e| a negative e first, except that
+    e = 1 goes before e = -1; then by r, s and the signs."""
+    spec, e = item
+    return -abs(e), e if abs(e) > 1 else -e, spec.r, spec.s, spec.sign_a, spec.sign_b
 
 
 def _lower_parts(node, path):
@@ -879,14 +890,7 @@ def _pair(factors):
     return {x: e for x, e in factors.items() if e}
 
 
-def _evaluate_product(product, order, path):
-    value = _lookup(product, order)
-    if value is None:
-        value = _store(product, _product_series(product, order, path))
-    return value
-
-
-def _product_series(product, order, path):
+def _product_series(product, order):
     """``product`` to ``order``: the sparse theta quotient, times each
     dense factor raised by ``Series ** e``, times c, shifted by k.
 
@@ -898,35 +902,36 @@ def _product_series(product, order, path):
     if c == 0 or n <= 0:
         return Series([0] * order)
     if (c, k, dense) == (1, 0, ()):
-        return Series(_theta_quotient(thetas, n, path))
-    coeffs = list(_evaluate_product(Product(1, 0, thetas, ()), n, path)) if thetas else None
+        return Series(_theta_quotient(thetas, n))
+    coeffs = list(_evaluate(Product(1, 0, thetas, ()), n)) if thetas else None
     for factor, e in dense:
-        value = list(_evaluate(factor, n, path) ** e)
+        value = list(_evaluate(factor, n) ** e)
         coeffs = value if coeffs is None else _backend.mul_trunc(coeffs, value, n)
     if coeffs is None:
         coeffs = [1] + [0] * (n - 1)
     return Series([0] * k + [c * x for x in coeffs])
 
 
-def _theta_quotient(thetas, n, path):
-    """prod theta^e to ``n`` terms, as a list.
+def _theta_quotient(thetas, n):
+    """prod theta^e to ``n`` terms, as a list, for ``thetas`` in the order
+    of ``Product.thetas``, which is the order of the build.
 
     One base to one power is Miller's recurrence.  Otherwise the bases
-    are ranked by :func:`_pivot_key`, largest |e| first; among
-    equal |e| a negative base goes first, since a sparse division costs
-    more than a sparse product, except that a first power needs no
-    recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3) is one sparse division
-    of a theta series.  The build starts from the longest prefix of that
-    ranking whose product (c = 1, k = 0, no dense factor) the cache holds
-    to at least ``n`` terms, longest first and down to two bases, so C = B *
-    f(-q^10,-q^15)/f(-q^5,-q^20) starts from B, D from A, and the theta
-    part of 5*q*R(q)^5 is B itself.  With no such entry it starts from
-    the first base alone, raised by Miller's recurrence through the
-    cache, so products that share it share its build.  Each unit of
-    exponent of the remaining bases is one sparse product or quotient,
-    taken in turn so that intermediate coefficients stay near the width
-    of the result; a base with |e| above MAX_SPARSE_STEPS gets a Miller
-    power of its own and one dense product instead.
+    go largest |e| first; among equal |e| a negative base goes first,
+    since a sparse division costs more than a sparse product, except that
+    a first power needs no recurrence at all: R = f(-q,-q^4)/f(-q^2,-q^3)
+    is one sparse division of a theta series.  The caller has just missed
+    the cache for the whole product, so the build starts from the longest
+    shorter prefix ``thetas[:size]`` whose product (c = 1, k = 0, no dense
+    factor) the cache holds to at least ``n`` terms, down to two bases: C
+    = B * f(-q^10,-q^15)/f(-q^5,-q^20) starts from B, and D from A.  With
+    no such entry it starts from the first base alone, raised by Miller's
+    recurrence through the cache, so products that share it share its
+    build.  Each unit of exponent of the remaining bases is one sparse
+    product or quotient, taken in turn so that intermediate coefficients
+    stay near the width of the result; a base with |e| above
+    MAX_SPARSE_STEPS gets a Miller power of its own and one dense product
+    instead.
     """
     if not thetas:
         return [1] + [0] * (n - 1)
@@ -935,17 +940,16 @@ def _theta_quotient(thetas, n, path):
         if e == 1:
             return list(qfunctions.theta_general(spec, n))
         return _backend.sparse_power(qfunctions.theta_terms(spec, n)[1:], e, n)
-    bases = sorted(thetas, key=_pivot_key, reverse=True)
-    for size in range(len(bases), 0, -1):
-        prefix = Product(1, 0, tuple(sorted(bases[:size], key=_base_key)), ())
-        start = _lookup(prefix, n) if size > 1 else _evaluate_product(prefix, n, path)
+    for size in range(len(thetas) - 1, 0, -1):
+        prefix = Product(1, 0, thetas[:size], ())
+        start = _lookup(prefix, n) if size > 1 else _evaluate(prefix, n)
         if start is not None:
             break
     coeffs = list(start.coeffs)
     muls, divs = [], []
-    for spec, e in bases[size:]:
+    for spec, e in thetas[size:]:
         if abs(e) > MAX_SPARSE_STEPS:
-            power = _evaluate_product(Product(1, 0, ((spec, e),), ()), n, path)
+            power = _evaluate(Product(1, 0, ((spec, e),), ()), n)
             coeffs = _backend.mul_trunc(coeffs, list(power.coeffs), n)
             continue
         terms = qfunctions.theta_terms(spec, n)[1:]
@@ -956,11 +960,6 @@ def _theta_quotient(thetas, n, path):
         if i < len(divs):
             coeffs = _backend.sparse_div(coeffs, divs[i], n)
     return coeffs
-
-
-def _pivot_key(item):
-    e = item[1]
-    return abs(e), (-e if abs(e) > 1 else e)
 
 
 # ---------------------------------------------------------------------------

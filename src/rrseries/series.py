@@ -96,11 +96,15 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         return Series([a[i] + b[i] for i in range(n)])
 
     def __sub__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         return Series([a[i] - b[i] for i in range(n)])

@@ -40,6 +40,8 @@ class ScanSpec(Record):
 
     def __new__(cls, name, target, period, residue, sign=None, divisor=None, exceptions=(),
                 max_n=2000):
+        if period < 1:
+            raise ValueError("period must be >= 1")
         if not 0 <= residue < period:
             raise ValueError(f"residue {residue} not in [0, {period})")
         if (sign is None) == (divisor is None):

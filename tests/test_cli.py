@@ -290,6 +290,13 @@ class TestScans:
         assert message in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("period", ["0", "-3"])
+    def test_scan_period_below_one_exits_2(self, capsys, period):
+        code, out = run_cli("scan", "--series", "A", "--period", period, "--residue", "0",
+                            "--sign", "pos")
+        assert (code, out) == (2, "")
+        assert "period must be >= 1" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         code, _ = run_cli("scan", "--series", "A", "--period", "5",
                           "--residue", "7", "--sign", "neg")

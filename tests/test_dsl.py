@@ -330,6 +330,22 @@ class TestEvaluate:
             " (at denominator)")
         dsl.clear_cache()
 
+    def test_a_cache_hit_is_one_lookup_and_no_budget_walk(self, monkeypatch):
+        tree = parse("R(q)^5*(1+q)")
+        dsl.clear_cache()
+        warm = evaluate(tree, 40)
+
+        def walked(*args):
+            raise AssertionError("check_budget ran on a cache hit")
+
+        lookup, lookups = dsl._lookup, []
+        monkeypatch.setattr(dsl, "check_budget", walked)
+        monkeypatch.setattr(dsl, "_lookup", lambda *args: lookups.append(1) or lookup(*args))
+        assert evaluate(tree, 40) == warm
+        assert evaluate(tree, 39) == warm.truncate(39)
+        assert len(lookups) == 2
+        dsl.clear_cache()
+
     def test_dissect_requests_parent_order(self):
         # dissect at period 5 certifies exactly the requested order
         s = evaluate(parse("dissect(f1, 5, 4)"), 11)
@@ -529,7 +545,7 @@ class TestThetaQuotientEngine:
         try:
             product = dsl.lower(tree)
             if product.thetas:
-                bases = sorted(product.thetas, key=dsl._pivot_key, reverse=True)[:size]
+                bases = product.thetas[:size]
                 evaluate(functools.reduce(Mul, [
                     Pow(Theta(spec.sign_a, spec.r, spec.sign_b, spec.s), e)
                     for spec, e in bases]), warm)
@@ -655,6 +671,35 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             evaluate(parse(text), order)
         assert calls == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("((2+q)^2)^500000", "exponent 2 in (2 + q)^2, raised to 500000 by the powers around it,"
+                             " times the 2 bits of its largest integer, is above the budget"
+                             " of 1000000"),
+        ("(1+q)^1000001", "exponent 1000001 in (1 + q)^1000001 is above the budget of 1000000"),
+        # powers of one dense factor, and the integers, count together once lowered
+        ("(2+q)^499999*(2+q)^499999*(2+q)^499999*(2+q)^499999",
+         "exponent 1999996 in (2 + q)^1999996, times the 2 bits of its largest integer, is above"
+         " the budget of 1000000"),
+        ("dilate(poch(1,7),2)^600000*poch(2,14)^600000*f1", "exponent 1200000 in"
+         " poch(2,14)^1200000 is above the budget of 1000000"),
+        ("*".join(["2^400000"] * 8) + "*f1", "the integers in " + "*".join(["2^400000"] * 8)
+         + "*f1 multiply to 3200001 bits, above the budget of 1000000"),
+    ])
+    def test_refusal_names_the_exponent(self, count_kernel_calls, text, message):
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        with pytest.raises(BudgetExceeded) as info:
+            evaluate(parse(text), 10)
+        assert str(info.value) == message
+        assert calls == []
+
+    def test_split_powers_within_the_budget_are_accepted(self):
+        # (1+q)^1000000 is inside the budget, alone or in two halves
+        expected = [1, 1000000, 499999500000, 166666166667000000]
+        assert list(evaluate(parse("(1+q)^1000000"), 4)) == expected
+        assert list(evaluate(parse("(1+q)^500000*(1+q)^500000"), 4)) == expected
+        dsl.clear_cache()
 
     def test_lower_runs_the_budget_check(self, count_kernel_calls):
         # lowering evaluates each dense factor to order 1, within the budget

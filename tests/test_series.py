@@ -79,6 +79,14 @@ class TestBasics:
         with pytest.raises(TypeError):
             other * s
 
+    @pytest.mark.parametrize("other", [1, 2.5, "x"])
+    def test_add_and_sub_of_a_non_series_are_type_errors(self, other):
+        s = Series([1, 2, 3])
+        for combine in (lambda: s + other, lambda: s - other,
+                        lambda: other + s, lambda: other - s):
+            with pytest.raises(TypeError):
+                combine()
+
     def test_min_order_contract(self):
         a = Series([1, 2, 3, 4, 5])
         b = Series([1, 1, 1])
