@@ -566,8 +566,9 @@ def evaluate(node, order):
     here: every node checks its fields when it is built.  A tree that
     needs an order above MAX_ORDER or an exponent above MAX_EXPONENT
     raises :class:`BudgetExceeded` before anything is built, and so does
-    one whose powers of one dense factor, or whose integers, multiply
-    past the budget once lowering has combined them.
+    one whose powers of one dense factor multiply past the budget once
+    lowering has combined them, or whose integers do as lowering
+    multiplies them in.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -646,6 +647,23 @@ def check_budget(node, order, power=1):
     if isinstance(node, (Neg, NegQ)):
         return check_budget(node.child, order, power)
     return 1
+
+
+def needed_order(node, order):
+    """The largest order at which evaluating ``node`` to ``order`` builds a
+    series: the orders :func:`check_budget` checks, t times the order under
+    ``dissect(e, t, j)`` and ceil(order/t) under ``dilate(e, t)``."""
+    if isinstance(node, Dissect):
+        return needed_order(node.child, node.t * order)
+    if isinstance(node, Dilate):
+        return max(order, needed_order(node.child, -(-order // node.t)))
+    if isinstance(node, Pow):
+        return needed_order(node.base, order)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return max(needed_order(node.left, order), needed_order(node.right, order))
+    if isinstance(node, (Neg, NegQ)):
+        return needed_order(node.child, order)
+    return order
 
 
 def _compute(node, order, path):
@@ -741,11 +759,8 @@ def _lower(node, path):
     c, k, factors = _lower_parts(node, path)
     if c == 0:
         return Product(0, 0, (), ())
-    # the factors are combined now: the budget counts the integers, and each
-    # dense factor as one power, however many powers of the tree it sums
-    if c.bit_length() > MAX_EXPONENT:
-        raise BudgetExceeded(f"the integers in {unparse(node)} multiply to {c.bit_length()}"
-                             f" bits, above the budget of {MAX_EXPONENT}")
+    # the factors are combined now: the budget counts each dense factor as
+    # one power, however many powers of the tree it sums
     thetas, dense = {}, []
     for factor, e in _pair(factors).items():
         if type(factor) is ThetaSpec:
@@ -791,16 +806,17 @@ def _lower_parts(node, path):
         return _dilate_parts(_negate_parts(parts) if node.neg else parts, node.t)
     if kind is Mul:
         return _times(_lower_parts(node.left, path + ("left",)),
-                      _lower_parts(node.right, path + ("right",)))
+                      _lower_parts(node.right, path + ("right",)), node)
     if kind is Div:
         right = _unit_parts(node.right, path + ("denominator",), "divide")
-        return _times(_lower_parts(node.left, path + ("numerator",)), _power_parts(right, -1))
+        return _times(_lower_parts(node.left, path + ("numerator",)),
+                      _power_parts(right, -1, node), node)
     if kind is Pow:
         where = path + ("base",)
         if node.exponent < 0:
             return _power_parts(_unit_parts(node.base, where, f"raise to {node.exponent}"),
-                                node.exponent)
-        return _power_parts(_lower_parts(node.base, where), node.exponent)
+                                node.exponent, node)
+        return _power_parts(_lower_parts(node.base, where), node.exponent, node)
     if kind is Neg:
         c, k, factors = _lower_parts(node.child, path + ("child",))
         return -c, k, factors
@@ -834,18 +850,34 @@ def _unit_parts(node, path, verb):
     return parts
 
 
-def _times(x, y):
+def _times(x, y, node):
     factors = dict(x[2])
     for factor, e in y[2].items():
         factors[factor] = factors.get(factor, 0) + e
-    return x[0] * y[0], x[1] + y[1], factors
+    c = x[0] * y[0]
+    _check_bits(c.bit_length(), node)
+    return c, x[1] + y[1], factors
 
 
-def _power_parts(parts, e):
+def _power_parts(parts, e, node):
     """``parts`` to the power ``e``; a negative e needs a unit (c = +-1, k = 0),
-    so c^e is c^|e|."""
+    so c^e is c^|e|.  A c of b >= 2 bits has at least (b-1)|e| + 1 bits to
+    that power, so a power past the budget is refused before it is taken."""
     c, k, factors = parts
-    return c ** abs(e), k * e, {factor: x * e for factor, x in factors.items()}
+    if abs(c) > 1:
+        _check_bits((c.bit_length() - 1) * abs(e) + 1, node, "at least ")
+    c = c ** abs(e)
+    _check_bits(c.bit_length(), node)
+    return c, k * e, {factor: x * e for factor, x in factors.items()}
+
+
+def _check_bits(bits, node, bound=""):
+    """Raise BudgetExceeded if ``bits``, the size of the integers of ``node``
+    multiplied so far, is above MAX_EXPONENT: lowering keeps this running
+    bound, so it never builds an integer much wider than the budget."""
+    if bits > MAX_EXPONENT:
+        raise BudgetExceeded(f"the integers in {unparse(node)} multiply to {bound}{bits}"
+                             f" bits, above the budget of {MAX_EXPONENT}")
 
 
 def _dilate_parts(parts, t):

@@ -1,10 +1,11 @@
 """Verification engine: identity checks, sign/divisibility scans, periodicity.
 
-Items are pure and independent; the suite runs them in a fixed order so
-reports are deterministic apart from timing.  Certified orders are the
-orders actually compared, never the orders requested.  Congruence records
-and divisibility scans read exact coefficients and reduce them mod m, so a
-violation reports the unreduced value.
+Items are pure and independent; the suite reports them in a fixed order,
+whichever of its two processes ran them, so reports are deterministic
+apart from timing.  Certified orders are the orders actually compared,
+never the orders requested.  Congruence records and divisibility scans
+read exact coefficients and reduce them mod m, so a violation reports the
+unreduced value.
 
 The suite's sign patterns and congruences are the rows of two claim
 tables, ``SIGN_PATTERNS`` and ``CONGRUENCES``, with their conjectured
@@ -274,9 +275,20 @@ def _oracle_reports(limit, link_limit):
     return reports
 
 
+def _load_checked(path, order):
+    """The records of the manifest at ``path``, each side checked against the
+    evaluation budget at ``order`` first, so a record the budget refuses
+    stops the run before any record is built."""
+    records = dsl.load_manifest(path)
+    for record in records:
+        dsl.check_budget(record.lhs, order)
+        dsl.check_budget(record.rhs, order)
+    return records
+
+
 def verify_manifest(path, order):
     """Verify every record of the manifest at ``path`` to ``order`` coefficients."""
-    return [verify_identity(record, order) for record in dsl.load_manifest(path)]
+    return [verify_identity(record, order) for record in _load_checked(path, order)]
 
 
 def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
@@ -287,31 +299,41 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
     partition-oracle cross-checks; sign periodicity of three further
     product families; and the open conjectures as report-only items.
 
-    Every scan is first checked against vacuity and the evaluation
-    budget, so a ``scan_order`` that one scan would refuse stops the run
-    before anything is built.
+    Every manifest record and every scan is first checked against the
+    evaluation budget, and every scan against vacuity, so an ``order`` or
+    a ``scan_order`` that one item would refuse stops the run before
+    anything is built.  The records whose trees need the largest order
+    (:func:`dsl.needed_order`), the partition oracles and the
+    alpha/beta check build nothing the other items use, so they run in
+    one worker process beside the rest (:func:`rrseries._worker.run`).
     """
+    from . import _worker
+
     if manifest_path is None:
         manifest_path = default_manifest_path()
+    records = _load_checked(manifest_path, order)
     proved = _scan_specs(SIGN_PATTERNS, CONGRUENCES, scan_order)
     conjectured = _scan_specs(CONJECTURED_SIGNS, CONJECTURED_CONGRUENCES, scan_order,
                               conjecture=True)
     for spec in proved + conjectured:
         check_not_vacuous(spec, spec.max_n)
         dsl.check_budget(catalog.node(spec.target), spec.max_n)
-    reports = verify_manifest(manifest_path, order)
-    reports.extend(scan(spec) for spec in proved)
-    reports.extend(catalog.linking_relations(scan_order))
-    reports.extend(_oracle_reports(300, min(1000, scan_order)))
-    reports.append(partitions.check_alpha_beta(500))
+    needed = [max(dsl.needed_order(r.lhs, order), dsl.needed_order(r.rhs, order))
+              for r in records]
+    deepest = max(needed, default=None)
+    # (in the worker, function returning a list of reports), in suite order
+    items = [(n == deepest, lambda r=r: [verify_identity(r, order)])
+             for r, n in zip(records, needed)]
+    items.append((False, lambda: [scan(spec) for spec in proved]))
+    items.append((False, lambda: catalog.linking_relations(scan_order)))
+    items.append((True, lambda: _oracle_reports(300, min(1000, scan_order))))
+    items.append((True, lambda: [partitions.check_alpha_beta(500)]))
     for m, r in ((7, 1), (11, 2), (13, 3)):
-        series = catalog.f_mrs(m, 2 * r, r, scan_order)
-        reports.append(
-            period_check(series, m, prefix=scan_order // 2,
-                         name=f"sign periodicity of F({m},{2*r},{r}), period {m}")
-        )
-    reports.extend(scan(spec, report_only=True) for spec in conjectured)
-    return reports
+        items.append((False, lambda m=m, r=r: [period_check(
+            catalog.f_mrs(m, 2 * r, r, scan_order), m, prefix=scan_order // 2,
+            name=f"sign periodicity of F({m},{2*r},{r}), period {m}")]))
+    items.append((False, lambda: [scan(spec, report_only=True) for spec in conjectured]))
+    return [report for reports in _worker.run(items) for report in reports]
 
 
 def default_manifest_path():

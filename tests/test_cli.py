@@ -225,6 +225,21 @@ class TestVerify:
         assert "needs order 2000000, above the budget of 1000000" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["verify", "paper-suite"])
+    def test_a_later_record_over_budget_stops_the_run_before_building(
+            self, count_kernel_calls, capsys, monkeypatch, tmp_path, command):
+        # the first record fits the budget; the second needs order 16 * 70000
+        path = tmp_path / "deep.manifest"
+        path.write_text("[a] : f1^2 == f1*f1\n[b] : dissect(f1,16,0) == f1\n", encoding="utf-8")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the budget check"))
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        code, out = run_cli(command, "--manifest", str(path), "-N", "70000")
+        assert (code, out) == (2, "")
+        assert ("error: f1 needs order 1120000, above the budget of 1000000"
+                in capsys.readouterr().err)
+        assert calls == []
+
 
 class TestScans:
     def test_sign_scan(self):

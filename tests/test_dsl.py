@@ -683,8 +683,14 @@ class TestBudget:
          " the budget of 1000000"),
         ("dilate(poch(1,7),2)^600000*poch(2,14)^600000*f1", "exponent 1200000 in"
          " poch(2,14)^1200000 is above the budget of 1000000"),
-        ("*".join(["2^400000"] * 8) + "*f1", "the integers in " + "*".join(["2^400000"] * 8)
-         + "*f1 multiply to 3200001 bits, above the budget of 1000000"),
+        # the integers count as they are multiplied in: refused at the third factor
+        ("*".join(["2^400000"] * 8) + "*f1", "the integers in " + "*".join(["2^400000"] * 3)
+         + " multiply to 1200001 bits, above the budget of 1000000"),
+        ("*".join(["2^400000"] * 50) + "*f1", "the integers in " + "*".join(["2^400000"] * 3)
+         + " multiply to 1200001 bits, above the budget of 1000000"),
+        # a power of a wide integer is refused before it is taken
+        ("(3^200000*3^200000*f1)^2", "the integers in (3^200000*3^200000*f1)^2 multiply to"
+                                     " at least 1267971 bits, above the budget of 1000000"),
     ])
     def test_refusal_names_the_exponent(self, count_kernel_calls, text, message):
         calls = count_kernel_calls()

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import threading
 import types
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +299,126 @@ class TestVerifyManifest:
         out = io.StringIO()
         assert cli.main(["verify", "--manifest", str(path), "-N", str(order)], out=out) == 0
         assert out.getvalue().splitlines()[2].split() == ["w16", "pass", str(order)]
+
+
+class TestSuiteWorker:
+    """run_paper_suite with its deepest records and partition checks in a forked worker."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs whatever the host has; returns the pids of the children
+        os.fork starts from here on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def fields(reports):
+        return [(r.name, r.status, r.certified_order, r.first_violation, r.detail)
+                for r in reports]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_reports_equal_the_sequential_ones(self, forks, monkeypatch):
+        dsl.clear_cache()
+        catalog.clear_cache()
+        split = verify.run_paper_suite(60, 100)
+        assert len(forks) == 1
+        self.assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        dsl.clear_cache()
+        catalog.clear_cache()
+        sequential = verify.run_paper_suite(60, 100)
+        assert len(forks) == 1
+        assert self.fields(split) == self.fields(sequential)
+
+    def test_worker_runs_the_records_that_need_the_largest_order(self, forks, monkeypatch,
+                                                                 tmp_path):
+        path = tmp_path / "orders.manifest"
+        path.write_text(
+            "[plain] : f1 == f1 @ order N\n"
+            "[four] : dissect(f1, 4, 1) == dissect(f1, 4, 1) @ order 4N\n"
+            "[halved] : dilate(dissect(f1, 4, 0), 2) == f2 @ order 4*ceil(N/2)\n"
+            "[twice] : f1 == dissect(dissect(f1, 2, 0), 2, 1) @ order 4N\n", encoding="utf-8")
+        identity = verify.verify_identity
+
+        def tagged(record, order):
+            report = identity(record, order)
+            return type(report)(*report[:5], {"pid": os.getpid()})
+
+        monkeypatch.setattr(verify, "verify_identity", tagged)
+        reports = verify.run_paper_suite(41, 100, manifest_path=str(path))
+        assert len(forks) == 1
+        by_pid = {r.name: r.detail["pid"] == forks[0] for r in reports[:4]}
+        assert by_pid == {"plain": False, "four": True, "halved": False, "twice": True}
+        assert [r.certified_order for r in reports[:4]] == [41] * 4
+
+    def test_worker_exception_reaches_the_caller(self, forks, monkeypatch):
+        def broken(limit):
+            raise ValueError(f"alpha/beta broke at {limit}")
+
+        monkeypatch.setattr(partitions, "check_alpha_beta", broken)
+        with pytest.raises(ValueError) as info:
+            verify.run_paper_suite(60, 100)
+        assert (type(info.value), str(info.value)) == (ValueError, "alpha/beta broke at 500")
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_a_worker_that_dies_is_an_error(self, forks, monkeypatch):
+        caller = os.getpid()
+
+        def dies(limit):
+            if os.getpid() != caller:
+                os._exit(3)
+            raise AssertionError("ran in the calling process")
+
+        monkeypatch.setattr(partitions, "check_alpha_beta", dies)
+        with pytest.raises(ChildProcessError, match="worker process ended without its results"):
+            verify.run_paper_suite(60, 100)
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_error_kills_and_reaps_the_worker(self, forks, monkeypatch, error):
+        def broken(order, links=None):
+            raise error("linking relations broke")
+
+        monkeypatch.setattr(catalog, "linking_relations", broken)
+        with pytest.raises(error, match="linking relations broke"):
+            verify.run_paper_suite(60, 100)
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_one_cpu_runs_in_order_and_prints_the_pinned_text(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = io.StringIO()
+        assert cli.main(["paper-suite", "-N", "300", "--scan-n", "1000"], out=out) == 0
+        assert forks == []
+        golden = Path(__file__).parent / "data" / "paper_suite_N300_scan1000.txt"
+        assert out.getvalue() == golden.read_text(encoding="utf-8")
+
+    def test_no_fork_without_fork_or_beside_another_thread(self, forks, monkeypatch):
+        expected = self.fields(verify.run_paper_suite(60, 100))
+        assert len(forks) == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert self.fields(verify.run_paper_suite(60, 100)) == expected
+        finally:
+            release.set()
+            waiter.join()
+        monkeypatch.delattr(os, "fork")
+        assert self.fields(verify.run_paper_suite(60, 100)) == expected
+        assert len(forks) == 1

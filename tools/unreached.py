@@ -96,6 +96,10 @@ class CallRecorder:
 def exercise(recorder):
     """Import rrseries and run the workloads and CLI subcommands under ``recorder``."""
     sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
+    # paper-suite runs some items in a forked worker when it has two CPUs,
+    # and the worker's calls never reach this process's trace: with one CPU
+    # every item runs here
+    os.sched_getaffinity = lambda pid: {0}
     recorder.on()
     import workloads
     from rrseries import cli
