@@ -38,17 +38,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print coefficients of an expression")
+    p.set_defaults(handler=cmd_expand)
     p.add_argument("expr", help="expression in the identity DSL, e.g. 'R(q)'")
     p.add_argument("-N", "--order", type=int, default=500)
     p.add_argument("--mod", type=int, default=None, help="reduce coefficients mod m")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("verify", help="verify an identity manifest")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--manifest", default=None, help="manifest path (default: bundled)")
     p.add_argument("-N", "--order", type=int, default=500)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("scan", help="sign scan along an arithmetic progression")
+    p.set_defaults(handler=cmd_scan, mod=None)
     _add_target_arguments(p)
     p.add_argument("--sign", choices=("pos", "neg"), required=True)
     p.add_argument("--exceptions", type=_parse_exceptions, default=())
@@ -56,12 +59,14 @@ def build_parser():
 
     p = sub.add_parser("check-congruence",
                        help="divisibility scan along an arithmetic progression")
+    p.set_defaults(handler=cmd_scan)
     _add_target_arguments(p)
     p.add_argument("--mod", type=int, required=True, help="required divisor")
     p.add_argument("--exceptions", type=_parse_exceptions, default=())
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("period-check", help="check sign periodicity of coefficients")
+    p.set_defaults(handler=cmd_period_check)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--series", choices=SERIES_CHOICES)
     group.add_argument("--expr")
@@ -72,6 +77,7 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("paper-suite", help="run the full verification suite")
+    p.set_defaults(handler=cmd_paper_suite)
     p.add_argument("-N", "--order", type=int, default=500)
     p.add_argument("--scan-n", type=int, default=2000)
     p.add_argument("--manifest", default=None)
@@ -133,8 +139,10 @@ def cmd_verify(args, out):
     return _emit_reports(verify.verify_manifest(path, args.order), args.format, out)
 
 
-def cmd_scan(args, out, divisor=None):
+def cmd_scan(args, out):
+    """A sign scan, or with ``--mod`` (check-congruence) a divisibility scan."""
     target, label = _target(args)
+    divisor = args.mod
     if divisor is None:
         sign = verify.SIGN_POS if args.sign == "pos" else verify.SIGN_NEG
         claim = "> 0" if args.sign == "pos" else "< 0"
@@ -169,30 +177,16 @@ def cmd_paper_suite(args, out):
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        if args.command == "expand":
-            return cmd_expand(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        if args.command == "scan":
-            return cmd_scan(args, out)
-        if args.command == "check-congruence":
-            return cmd_scan(args, out, divisor=args.mod)
-        if args.command == "period-check":
-            return cmd_period_check(args, out)
-        if args.command == "paper-suite":
-            return cmd_paper_suite(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args, out)
     except (RRSeriesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

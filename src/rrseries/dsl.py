@@ -313,12 +313,14 @@ class _Parser:
             self.fail(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", tok)
         return int(digits)
 
-    def build(self, tok, node, *children):
-        """Return ``node``, built from ``children``; refuse it past MAX_TREE_DEPTH levels."""
+    def build(self, tok, node):
+        """Return ``node``; refuse it past MAX_TREE_DEPTH levels, counted
+        through its fields that are nodes."""
         levels = self.levels
         if levels is None:
             return node
-        height = 1 + max([levels[id(c)][1] if id(c) in levels else 1 for c in children])
+        height = 1 + max([levels[id(c)][1] if id(c) in levels else 1
+                          for c in node if isinstance(c, Record)])
         if height > MAX_TREE_DEPTH:
             self.fail(f"expression tree deeper than {MAX_TREE_DEPTH} levels", tok)
         levels[id(node)] = (node, height)
@@ -333,7 +335,7 @@ class _Parser:
         while _OPERATORS.get(self.current.kind, (None, None))[1] == prec:
             tok = self.advance()
             right = self.parse_unary() if prec == _PREC_MUL else self.parse_expr(_PREC_MUL)
-            node = self.build(tok, _OPERATORS[tok.kind][0](node, right), node, right)
+            node = self.build(tok, _OPERATORS[tok.kind][0](node, right))
         return node
 
     def parse_unary(self):
@@ -343,7 +345,7 @@ class _Parser:
         if self.current.kind == "-":
             tok = self.advance()
             child = self.parse_unary()
-            node = self.build(tok, Neg(child), child)
+            node = self.build(tok, Neg(child))
         else:
             node = self.parse_power()
         self.depth -= 1
@@ -358,7 +360,7 @@ class _Parser:
                 self.advance()
                 negative = True
             k = self.int_value(self.expect("int"))
-            return self.build(caret, Pow(base, -k if negative else k), base)
+            return self.build(caret, Pow(base, -k if negative else k))
         return base
 
     def parse_atom(self):
@@ -394,7 +396,7 @@ class _Parser:
                 args.append(self.parse_expr() if kind == "e" else self.signed_int())
             self.expect(")")
             node = self.make(tok, record, *args)
-            return self.build(tok, node, args[0]) if kinds[0] == "e" else node
+            return self.build(tok, node) if kinds[0] == "e" else node
         raise UnknownSymbol(f"unknown symbol {name!r}", *_line_col(self.text, tok.pos))
 
     def make(self, tok, cls, *args):
@@ -458,25 +460,21 @@ def _prec(node):
     return _PRECEDENCE.get(type(node), _PREC_ATOM)
 
 
-def unparse(node):
-    """Canonical text form; ``parse(unparse(e)) == e`` for every tree."""
-    return _unparse(node)
-
-
 def _wrap(child, minimum):
-    text = _unparse(child)
+    text = unparse(child)
     if _prec(child) < minimum:
         return f"({text})"
     return text
 
 
-def _unparse(node):
+def unparse(node):
+    """Canonical text form; ``parse(unparse(e)) == e`` for every tree."""
     kind = type(node)
     if kind in _PRINTED:
         prec, text = _PRINTED[kind]
         return f"{_wrap(node.left, prec)}{text}{_wrap(node.right, prec + 1)}"
     if kind in _CALL_NAMES:
-        args = ",".join(_unparse(x) if isinstance(x, Record) else str(x) for x in node)
+        args = ",".join(unparse(x) if isinstance(x, Record) else str(x) for x in node)
         return f"{_CALL_NAMES[kind]}({args})"
     if kind is IntLit:
         return str(node.value)
@@ -549,11 +547,12 @@ def clear_cache():
 def evaluate(node, order):
     """Evaluate to a :class:`Series` of exactly ``order`` correct coefficients.
 
-    Requested orders propagate down the tree (a dissection child is
-    evaluated at t times the requested order, a dilation child at the
-    quotient), so the result's order is its true certified order.
-    Every node's longest result is memoized and serves any lower order
-    by truncation; series are immutable so the cache is safe to share.
+    Requested orders propagate down the tree as :func:`check_budget`
+    states, so the result's order is its true certified order.  A cache
+    hit is one lookup; on a miss the tree is checked against the budget
+    once, before anything is built.  Every node's longest result is
+    memoized and serves any lower order by truncation; series are
+    immutable so the cache is safe to share.
 
     Every node is evaluated through its normal form :func:`lower`,
     c*q^k*prod theta^e*prod dense^e.  The thetas are sparse series, so
@@ -572,7 +571,11 @@ def evaluate(node, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _evaluate(node, order, None)
+    value = _lookup(node, order)
+    if value is not None:
+        return value
+    check_budget(node, order)
+    return _evaluate(node, order)
 
 
 def _lookup(key, order):
@@ -586,17 +589,10 @@ def _lookup(key, order):
 
 def _evaluate(key, order, path=()):
     """``key``, a node found at ``path`` or a Product, to ``order``: the
-    cached value, or one built and cached unless a longer one is there.
-
-    ``path`` is None for a call of :func:`evaluate`, whose tree is checked
-    against the budget once, on a miss and before anything is built.
-    """
+    cached value, or one built and cached unless a longer one is there."""
     value = _lookup(key, order)
     if value is not None:
         return value
-    if path is None:
-        check_budget(key, order)
-        path = ()
     value = _product_series(key, order) if type(key) is Product else _compute(key, order, path)
     if value.order != order:
         raise AssertionError(f"internal: expected order {order}, got {value.order} for {key!r}")
@@ -607,29 +603,43 @@ def _evaluate(key, order, path=()):
     return value
 
 
-def check_budget(node, order, power=1):
-    """Raise BudgetExceeded if evaluating ``node`` to ``order`` would pass the budget.
+def check_budget(node, order):
+    """Raise BudgetExceeded if evaluating ``node`` to ``order`` would pass the
+    budget; otherwise return the largest order at which that evaluation
+    builds a series.
 
-    :func:`evaluate` runs it first; it builds nothing, so a caller can run
-    it on everything it will evaluate before it evaluates any.  ``power``
-    is the product of the |exponents| of the powers around ``node`` (a
-    zero counting as 1, since the base is still built), so (e^j)^k counts
-    as the exponent j*k it amounts to.  A power's coefficients grow by
-    about that exponent times the bits of its base's integers, so the
-    exponent is counted times the bit length of the largest integer
-    literal in the base: (2+q)^1000000 is refused, (1+q)^1000000 is not.
+    Orders propagate down the tree: a ``dissect(e, t, j)`` child is built
+    at t times its parent's order, a ``dilate(e, t)`` child at ceil(order/t),
+    and every other child at its parent's order; no node may need more than
+    MAX_ORDER.  :func:`evaluate` runs it first; it builds nothing, so a
+    caller can run it on everything it will evaluate before it evaluates
+    any, and learn which trees need the most.
 
-    Returns that bit length for ``node`` (1 when it holds no literal).
+    Nested powers count by the product of their |exponents| (a zero
+    counting as 1, since the base is still built), so (e^j)^k counts as
+    the exponent j*k it amounts to.  A power's coefficients grow by about
+    that exponent times the bits of its base's integers, so the exponent
+    is counted times the bit length of the largest integer literal in the
+    base: (2+q)^1000000 is refused, (1+q)^1000000 is not.
     """
+    return _budget(node, order, 1)[1]
+
+
+def _budget(node, order, power):
+    """(bits, order needed) for ``node`` at ``order`` inside powers whose
+    |exponents| multiply to ``power``: the bit length of its largest
+    integer literal (1 when it holds none) and the largest order any node
+    of it is built at."""
     if order > MAX_ORDER:
         raise BudgetExceeded(
             f"{unparse(node)} needs order {order}, above the budget of {MAX_ORDER}"
         )
-    if isinstance(node, IntLit):
-        return max(node.value.bit_length(), 1)
-    if isinstance(node, Pow):
+    kind = type(node)
+    if kind is IntLit:
+        return max(node.value.bit_length(), 1), order
+    if kind is Pow:
         outer, power = power, power * max(abs(node.exponent), 1)
-        bits = check_budget(node.base, order, power)
+        bits, needed = _budget(node.base, order, power)
         if power * bits > MAX_EXPONENT:
             around = f", raised to {outer} by the powers around it" if outer > 1 else ""
             width = f", times the {bits} bits of its largest integer" if bits > 1 else ""
@@ -637,33 +647,19 @@ def check_budget(node, order, power=1):
                 f"exponent {node.exponent} in {unparse(node)}{around}{width}"
                 f"{',' if around or width else ''} is above the budget of {MAX_EXPONENT}"
             )
-        return bits
-    if isinstance(node, Dissect):
-        return check_budget(node.child, node.t * order, power)
-    if isinstance(node, Dilate):
-        return check_budget(node.child, -(-order // node.t), power)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return max(check_budget(node.left, order, power), check_budget(node.right, order, power))
-    if isinstance(node, (Neg, NegQ)):
-        return check_budget(node.child, order, power)
-    return 1
-
-
-def needed_order(node, order):
-    """The largest order at which evaluating ``node`` to ``order`` builds a
-    series: the orders :func:`check_budget` checks, t times the order under
-    ``dissect(e, t, j)`` and ceil(order/t) under ``dilate(e, t)``."""
-    if isinstance(node, Dissect):
-        return needed_order(node.child, node.t * order)
-    if isinstance(node, Dilate):
-        return max(order, needed_order(node.child, -(-order // node.t)))
-    if isinstance(node, Pow):
-        return needed_order(node.base, order)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return max(needed_order(node.left, order), needed_order(node.right, order))
-    if isinstance(node, (Neg, NegQ)):
-        return needed_order(node.child, order)
-    return order
+        return bits, needed
+    if kind is Dissect:
+        return _budget(node.child, node.t * order, power)
+    if kind is Dilate:
+        bits, needed = _budget(node.child, -(-order // node.t), power)
+        return bits, max(order, needed)
+    if kind in (Add, Sub, Mul, Div):
+        left_bits, left_order = _budget(node.left, order, power)
+        right_bits, right_order = _budget(node.right, order, power)
+        return max(left_bits, right_bits), max(left_order, right_order)
+    if kind in (Neg, NegQ):
+        return _budget(node.child, order, power)
+    return 1, order
 
 
 def _compute(node, order, path):

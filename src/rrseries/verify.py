@@ -18,7 +18,7 @@ import time
 
 from . import catalog, dsl, partitions
 from ._record import Record
-from .errors import BudgetExceeded, RRSeriesError
+from .errors import BudgetExceeded, ManifestError, RRSeriesError
 from .report import first_violation, make_report
 from .series import Series
 
@@ -276,19 +276,21 @@ def _oracle_reports(limit, link_limit):
 
 
 def _load_checked(path, order):
-    """The records of the manifest at ``path``, each side checked against the
+    """(record, order its sides need, from :func:`dsl.check_budget`) for each
+    record of the manifest at ``path``.  Every side is checked against the
     evaluation budget at ``order`` first, so a record the budget refuses
-    stops the run before any record is built."""
+    stops the run before any record is built.  A manifest with no record
+    would pass without checking anything: it raises ManifestError."""
     records = dsl.load_manifest(path)
-    for record in records:
-        dsl.check_budget(record.lhs, order)
-        dsl.check_budget(record.rhs, order)
-    return records
+    if not records:
+        raise ManifestError(f"{path} has no records, so verifying it would check nothing")
+    return [(r, max(dsl.check_budget(r.lhs, order), dsl.check_budget(r.rhs, order)))
+            for r in records]
 
 
 def verify_manifest(path, order):
     """Verify every record of the manifest at ``path`` to ``order`` coefficients."""
-    return [verify_identity(record, order) for record in _load_checked(path, order)]
+    return [verify_identity(record, order) for record, _ in _load_checked(path, order)]
 
 
 def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
@@ -303,7 +305,7 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
     evaluation budget, and every scan against vacuity, so an ``order`` or
     a ``scan_order`` that one item would refuse stops the run before
     anything is built.  The records whose trees need the largest order
-    (:func:`dsl.needed_order`), the partition oracles and the
+    (:func:`dsl.check_budget`), the partition oracles and the
     alpha/beta check build nothing the other items use, so they run in
     one worker process beside the rest (:func:`rrseries._worker.run`).
     """
@@ -311,19 +313,17 @@ def run_paper_suite(order=500, scan_order=2000, manifest_path=None):
 
     if manifest_path is None:
         manifest_path = default_manifest_path()
-    records = _load_checked(manifest_path, order)
+    checked = _load_checked(manifest_path, order)
     proved = _scan_specs(SIGN_PATTERNS, CONGRUENCES, scan_order)
     conjectured = _scan_specs(CONJECTURED_SIGNS, CONJECTURED_CONGRUENCES, scan_order,
                               conjecture=True)
     for spec in proved + conjectured:
         check_not_vacuous(spec, spec.max_n)
         dsl.check_budget(catalog.node(spec.target), spec.max_n)
-    needed = [max(dsl.needed_order(r.lhs, order), dsl.needed_order(r.rhs, order))
-              for r in records]
-    deepest = max(needed, default=None)
+    deepest = max(needed for _, needed in checked)
     # (in the worker, function returning a list of reports), in suite order
-    items = [(n == deepest, lambda r=r: [verify_identity(r, order)])
-             for r, n in zip(records, needed)]
+    items = [(needed == deepest, lambda r=r: [verify_identity(r, order)])
+             for r, needed in checked]
     items.append((False, lambda: [scan(spec) for spec in proved]))
     items.append((False, lambda: catalog.linking_relations(scan_order)))
     items.append((True, lambda: _oracle_reports(300, min(1000, scan_order))))

@@ -240,6 +240,21 @@ class TestVerify:
                 in capsys.readouterr().err)
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["verify", "paper-suite"])
+    def test_a_manifest_without_records_exits_2_before_building(
+            self, count_kernel_calls, capsys, monkeypatch, tmp_path, command):
+        # only comments and blank lines: a pass would check nothing
+        path = tmp_path / "comments.manifest"
+        path.write_text("# no records yet\n\n   # indented\n", encoding="utf-8")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty manifest"))
+        calls = count_kernel_calls()
+        dsl.clear_cache()
+        code, out = run_cli(command, "--manifest", str(path), "-N", "40")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {path} has no records, so verifying it would check nothing\n")
+        assert calls == []
+
 
 class TestScans:
     def test_sign_scan(self):

@@ -715,6 +715,42 @@ class TestBudget:
             dsl.lower(parse("f1*dissect(f2*(1+q), 100000000, 0)"))
         assert calls == []
 
+    @pytest.mark.parametrize("text, needed", [
+        ("f1", lambda n: n),
+        ("dissect(f1,4,1)", lambda n: 4 * n),
+        ("dilate(dissect(f1,4,0),2)", lambda n: 4 * -(-n // 2)),
+        ("dissect(dissect(f1,2,0),2,1)", lambda n: 4 * n),
+        ("q*dissect(f1,4,1)", lambda n: 4 * n),
+        # a dilation is built at its own order, above its child's
+        ("dilate(q,1000000000)", lambda n: n),
+    ])
+    @pytest.mark.parametrize("order", [1, 7, 10, 40])
+    def test_check_budget_returns_the_order_the_tree_needs(self, text, needed, order):
+        assert dsl.check_budget(parse(text), order) == needed(order)
+
+    @given(st.one_of(product_trees, expressions))
+    @example(parse("dilate(dissect(f1,4,0),2)*dissect(dissect(f2,2,0),3,1)"))
+    @example(parse("q*dissect(f1+q,4,1)"))
+    @settings(max_examples=200, deadline=None)
+    def test_no_build_passes_the_order_check_budget_returns(self, tree):
+        # on a cold cache every node and every Product is built, each at
+        # most to the order the budget walk returned; an evaluation error
+        # still comes after every build it made
+        built, compute, product_series = [], dsl._compute, dsl._product_series
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsl, "_compute",
+                          lambda node, n, path: built.append(n) or compute(node, n, path))
+            patch.setattr(dsl, "_product_series",
+                          lambda product, n: built.append(n) or product_series(product, n))
+            for order in (1, 7, 40):
+                try:
+                    bound = dsl.check_budget(tree, order)
+                except BudgetExceeded:
+                    continue
+                built.clear()
+                evaluate_fresh(tree, order)
+                assert built and max(built) <= bound, order
+
     def test_limits_sit_above_the_orders_in_use(self):
         # the deepest manifest evaluation: period 16 at -N 500
         assert dsl.MAX_ORDER >= 16 * 500 and dsl.MAX_ORDER >= 20000

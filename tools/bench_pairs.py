@@ -9,7 +9,8 @@ and the CPU time of paper-suite summed over its processes.
 checkout, the parent first in odd pairs and the change first in even ones,
 and prints one JSON object: each end-to-end metric's runs, median and
 quartiles per side, its change in percent, and the number of pairs in which
-the change was better.
+the change was better.  Quartiles need two runs a side, so ``<pairs>`` and
+``<runs>`` below 2 print this text and run nothing.
 
 ``cpu`` runs ``paper-suite -N 300 --scan-n 1000`` in a fresh interpreter of
 each checkout, alternating, and prints the wall time and the CPU time
@@ -102,10 +103,10 @@ def cpu(parent, change, count):
 
 
 def main(argv):
-    if argv[:1] == ["pairs"]:
+    if argv[:1] == ["pairs"] and int(argv[5]) >= 2:
         seconds = float(argv[argv.index("--seconds") + 1]) if "--seconds" in argv else 40
         result = pairs(argv[1], argv[2], argv[3], int(argv[4]), int(argv[5]), seconds)
-    elif argv[:1] == ["cpu"]:
+    elif argv[:1] == ["cpu"] and int(argv[3]) >= 2:
         result = cpu(argv[1], argv[2], int(argv[3]))
     else:
         sys.exit(__doc__)
